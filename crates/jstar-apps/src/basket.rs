@@ -188,8 +188,8 @@ pub fn build_program(spec: BasketSpec) -> BasketApp {
 
 /// Runs the program and returns the total score weight (each Score
 /// tuple counted once — `Score` is a set, so duplicate orders collapse;
-/// the baseline is compared per distinct chain via [`run_total`]'s
-/// caller using matching dedup).
+/// the baseline to compare against is [`baseline_distinct_total`],
+/// which applies the same dedup).
 pub fn run_report(spec: BasketSpec, config: EngineConfig) -> Result<(i64, RunReport)> {
     let app = build_program(spec);
     let mut engine = Engine::new(Arc::clone(&app.program), config);

@@ -18,15 +18,12 @@
 //! artifact per commit, and `--check-drain <ceiling>` turns the run
 //! into a regression gate: non-zero exit when the fig12 drain fraction
 //! exceeds the ceiling (the coordinator has become the bottleneck
-//! again) **or** when any pipelined depth in the `depth_sweep` section
-//! (fig12 at 1 thread, `pipeline_depth` 0/1/2/4, interleaved) regresses
-//! beyond a noise allowance vs. the alternating loop (depth 0) — at one
-//! thread there is nothing to overlap with and no join to hide the
-//! lookahead behind, so every depth must be ≥ parity: the pipeline and
-//! speculation machinery must not cost when they cannot pay. The
-//! instrumented rows also report `overlap_fraction` (the share of drain
-//! work hidden behind class execution) and the sweep rows the lookahead
-//! hit/miss counts of an instrumented run per depth.
+//! again) **or** when the pipelined arm of the `depth_sweep` section
+//! (fig12 at 1 thread, alternating vs pipelined, interleaved) regresses
+//! beyond a noise allowance vs. the alternating loop — at one thread
+//! there is nothing to overlap with, so the pipeline must not cost when
+//! it cannot pay. The instrumented rows also report `overlap_fraction`
+//! (the share of drain work hidden behind class execution).
 //!
 //! The `checkpoint_overhead` section times fig8 (PvWatts) with one
 //! real full-Gamma checkpoint per run vs. off, interleaved; under
@@ -50,10 +47,7 @@
 //! fig8/fig11/fig12 — programs with *no* join rules, where mode
 //! selection must be free; `wco_join_parity` does the same for the
 //! join-strategy knob (hash vs. leapfrog on join-free programs); under
-//! `--check-drain`, any parity median beyond 1.10x fails the run. The
-//! `depth2_soak` section runs the full app suite once at
-//! `pipeline_depth = 2`, recording per-app lookahead hit rates — the
-//! data the ROADMAP wants before flipping the default depth.
+//! `--check-drain`, any parity median beyond 1.10x fails the run.
 //!
 //! The `index_cache` section A/Bs the cached column indexes on the two
 //! join exhibits: cold (`IndexCachePolicy::Off`, every cursor open
@@ -69,7 +63,6 @@
 //! warm pair-ratio median beyond 1.05x cold fails the run.
 
 use jstar_apps::matmul;
-use jstar_apps::median;
 use jstar_apps::pvwatts::{InputOrder, Variant};
 use jstar_apps::shortest_path;
 use jstar_apps::triangles;
@@ -201,70 +194,45 @@ fn main() {
         })
         .collect();
 
-    // Depth sweep: fig12 at 1 thread, pipeline_depth 0/1/2/4,
-    // interleaved so noise lands on every arm evenly. At one thread
-    // there is nothing to overlap with and no join to hide the
-    // lookahead behind, so every pipelined depth must be ≥ parity with
-    // the alternating loop — this is the gate that catches the
-    // pipeline/speculation machinery itself becoming overhead.
-    const SWEEP_DEPTHS: [usize; 4] = [0, 1, 2, 4];
-    let sweep_config = |depth: usize| {
-        let mut c = EngineConfig::parallel(1).pipeline_depth(depth);
+    // Depth sweep: fig12 at 1 thread, alternating vs pipelined,
+    // interleaved so noise lands on both arms evenly. At one thread
+    // there is nothing to overlap with, so the pipelined arm must be
+    // ≥ parity with the alternating loop — this is the gate that
+    // catches the overlap machinery itself becoming overhead.
+    const SWEEP_ARMS: [bool; 2] = [false, true];
+    let sweep_config = |pipelined: bool| {
+        let mut c = EngineConfig::parallel(1).pipelined(pipelined);
         c.pool = Some(Arc::clone(&pools[0]));
         c
     };
-    let mut sweep_cells: Vec<Vec<Duration>> = vec![Vec::with_capacity(runs); SWEEP_DEPTHS.len()];
-    for &depth in &SWEEP_DEPTHS {
-        run_dijkstra(spec, sweep_config(depth)); // warm-up, discarded
+    let mut sweep_cells: Vec<Vec<Duration>> = vec![Vec::with_capacity(runs); SWEEP_ARMS.len()];
+    for &pipelined in &SWEEP_ARMS {
+        run_dijkstra(spec, sweep_config(pipelined)); // warm-up, discarded
     }
     for _round in 0..runs {
-        for (di, &depth) in SWEEP_DEPTHS.iter().enumerate() {
-            sweep_cells[di].push(run_dijkstra(spec, sweep_config(depth)));
+        for (ai, &pipelined) in SWEEP_ARMS.iter().enumerate() {
+            sweep_cells[ai].push(run_dijkstra(spec, sweep_config(pipelined)));
         }
     }
     struct SweepRow {
-        depth: usize,
+        pipelined: bool,
         median: Duration,
-        ratio_vs_depth0: f64,
-        effective_depth: usize,
-        lookahead_hits: u64,
-        lookahead_misses: u64,
+        ratio_vs_alternating: f64,
     }
     let sweep_base = median(&sweep_cells[0]).as_secs_f64();
-    let sweep_rows: Vec<SweepRow> = SWEEP_DEPTHS
+    let sweep_rows: Vec<SweepRow> = SWEEP_ARMS
         .iter()
         .zip(&sweep_cells)
-        .map(|(&depth, samples)| {
-            // One instrumented run per *lookahead-armed* depth for the
-            // hit/miss counters (outside the timing cells —
-            // record_steps is not free). Below depth 2 the lookahead
-            // is disarmed, the counters are zero by construction and
-            // the effective depth is the configured one, so the extra
-            // run would buy nothing.
-            let (effective_depth, hits, misses) = if depth >= 2 {
-                let (_, report) =
-                    shortest_path::run_jstar_report(spec, sweep_config(depth).record_steps())
-                        .expect("dijkstra runs");
-                (
-                    report.pipeline_depth,
-                    report.lookahead_hits,
-                    report.lookahead_misses,
-                )
-            } else {
-                (depth, 0, 0)
-            };
+        .map(|(&pipelined, samples)| {
             let med = median(samples);
             SweepRow {
-                depth,
+                pipelined,
                 median: med,
-                ratio_vs_depth0: if sweep_base > 0.0 {
+                ratio_vs_alternating: if sweep_base > 0.0 {
                     med.as_secs_f64() / sweep_base
                 } else {
                     1.0
                 },
-                effective_depth,
-                lookahead_hits: hits,
-                lookahead_misses: misses,
             }
         })
         .collect();
@@ -646,47 +614,6 @@ fn main() {
         measure("fig12_dijkstra", &mut |c| run_dijkstra(spec, c));
     }
 
-    // Depth-2 soak: every app once at pipeline_depth 2 with the
-    // lookahead armed, recording per-app hit rates. Hit/miss counters
-    // need record_steps, so these runs stay out of the timing cells.
-    struct SoakRow {
-        app: &'static str,
-        steps: u64,
-        lookahead_hits: u64,
-        lookahead_misses: u64,
-        hit_rate: f64,
-    }
-    let soak_config = || config(1).pipeline_depth(2).record_steps();
-    let soak_rows: Vec<SoakRow> = {
-        let soak = |app: &'static str, report: &jstar_core::engine::RunReport| SoakRow {
-            app,
-            steps: report.steps,
-            lookahead_hits: report.lookahead_hits,
-            lookahead_misses: report.lookahead_misses,
-            hit_rate: report.lookahead_hit_rate(),
-        };
-        let (_, r8) = jstar_apps::pvwatts::run_jstar(
-            Arc::clone(&csv),
-            THREADS[1].max(2),
-            Variant::HashStore,
-            soak_config(),
-        )
-        .expect("pvwatts runs");
-        let (_, r11) = matmul::run_jstar_report(n, Arc::clone(&a), Arc::clone(&b), soak_config())
-            .expect("matmul runs");
-        let (_, r12) = shortest_path::run_jstar_report(spec, soak_config()).expect("dijkstra runs");
-        let med_data = Arc::new(median::gen_data(median_len(), 99));
-        let (_, r13) = median::run_jstar_report(med_data, 24, soak_config()).expect("median runs");
-        let (_, rtri) = triangles::run_jstar_report(tri_spec, soak_config()).expect("triangles");
-        vec![
-            soak("fig8_pvwatts", &r8),
-            soak("fig11_matmul", &r11),
-            soak("fig12_dijkstra", &r12),
-            soak("fig13_median", &r13),
-            soak("triangles", &rtri),
-        ]
-    };
-
     // Checkpoint overhead: fig8 with periodic checkpointing on vs. off,
     // interleaved. The checkpoint path quiesces the Delta queue,
     // serializes every Gamma store and publishes via temp + rename —
@@ -771,7 +698,7 @@ fn main() {
     // Hand-rolled JSON (the workspace deliberately vendors no serde).
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"jstar-hotpath/v5\",\n");
+    out.push_str("  \"schema\": \"jstar-hotpath/v6\",\n");
     out.push_str(&format!("  \"scale\": {},\n", json_f(scale())));
     out.push_str(&format!(
         "  \"hardware_threads\": {},\n",
@@ -820,15 +747,11 @@ fn main() {
     out.push_str("  \"depth_sweep\": [\n");
     for (i, row) in sweep_rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workload\": \"fig12_dijkstra\", \"threads\": 1, \"depth\": {}, \
-             \"effective_depth\": {}, \"median_secs\": {}, \"ratio_vs_depth0\": {}, \
-             \"lookahead_hits\": {}, \"lookahead_misses\": {}}}{}\n",
-            row.depth,
-            row.effective_depth,
+            "    {{\"workload\": \"fig12_dijkstra\", \"threads\": 1, \"pipelined\": {}, \
+             \"median_secs\": {}, \"ratio_vs_alternating\": {}}}{}\n",
+            row.pipelined,
             json_f(row.median.as_secs_f64()),
-            json_f(row.ratio_vs_depth0),
-            row.lookahead_hits,
-            row.lookahead_misses,
+            json_f(row.ratio_vs_alternating),
             if i + 1 < sweep_rows.len() { "," } else { "" }
         ));
     }
@@ -953,21 +876,6 @@ fn main() {
         ));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"depth2_soak\": [\n");
-    for (i, row) in soak_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"threads\": {}, \"depth\": 2, \"steps\": {}, \
-             \"lookahead_hits\": {}, \"lookahead_misses\": {}, \"hit_rate\": {}}}{}\n",
-            row.app,
-            THREADS[1],
-            row.steps,
-            row.lookahead_hits,
-            row.lookahead_misses,
-            json_f(row.hit_rate),
-            if i + 1 < soak_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
     out.push_str(&format!(
         "  \"checkpoint_overhead\": {{\"workload\": \"fig8_pvwatts\", \"threads\": {}, \
          \"checkpoint_every\": {CHECKPOINT_EVERY}, \"csv_rows\": {ckpt_rows}, \
@@ -1010,32 +918,24 @@ fn main() {
         println!("drain check ok: worst fig12 drain fraction {worst:.3} <= {ceiling:.3}");
 
         // Depth-sweep parity gate: at 1 thread the pipelined
-        // coordinator has no idle workers to exploit and no join to
-        // hide speculation behind, so anything beyond a noise allowance
-        // over the alternating loop — at *any* depth — is pure
-        // pipeline/lookahead overhead. Fail before it ships.
+        // coordinator has no idle workers to exploit, so anything beyond
+        // a noise allowance over the alternating loop is pure pipeline
+        // overhead. Fail before it ships.
         const SWEEP_TOLERANCE: f64 = 1.30;
-        for row in sweep_rows.iter().filter(|r| r.depth > 0) {
-            if row.ratio_vs_depth0 > SWEEP_TOLERANCE {
-                eprintln!(
-                    "FAIL: fig12 single-thread depth{} median {:.4}s is {:.2}x the alternating \
-                     loop's {sweep_base:.4}s (tolerance {SWEEP_TOLERANCE:.2}x) — \
-                     pipeline_depth={} regressed the no-overlap case",
-                    row.depth,
-                    row.median.as_secs_f64(),
-                    row.ratio_vs_depth0,
-                    row.depth,
-                );
-                std::process::exit(1);
-            }
+        let piped = &sweep_rows[1];
+        if piped.ratio_vs_alternating > SWEEP_TOLERANCE {
+            eprintln!(
+                "FAIL: fig12 single-thread pipelined median {:.4}s is {:.2}x the \
+                 alternating loop's {sweep_base:.4}s (tolerance {SWEEP_TOLERANCE:.2}x) — \
+                 the pipeline regressed the no-overlap case",
+                piped.median.as_secs_f64(),
+                piped.ratio_vs_alternating,
+            );
+            std::process::exit(1);
         }
-        let ratios: Vec<String> = sweep_rows
-            .iter()
-            .map(|r| format!("depth{} {:.3}", r.depth, r.ratio_vs_depth0))
-            .collect();
         println!(
-            "depth sweep ok: fig12 1-thread medians vs depth0 — {}",
-            ratios.join(", ")
+            "depth sweep ok: fig12 1-thread pipelined median is {:.3}x the alternating loop's",
+            piped.ratio_vs_alternating
         );
 
         // Delta-join parity gate: on programs with no join rules, the

@@ -28,7 +28,7 @@
 use crate::fxhash::{hash_seq, FxBuildHasher};
 use crate::orderby::{KeyPart, OrderKey};
 use crate::tuple::Tuple;
-use jstar_pool::{TaskBatch, ThreadPool};
+use jstar_pool::ThreadPool;
 // Synchronisation comes from the jstar-check shim: real std/parking_lot
 // types in production, instrumented model-checked types under
 // `--features model-check` (see crates/jstar-check and CONCURRENCY.md).
@@ -122,23 +122,6 @@ impl DeltaNode {
         for child in self.children.values() {
             child.for_each(f);
         }
-    }
-
-    /// Non-destructive twin of [`DeltaNode::pop_min`]: finds the minimal
-    /// equivalence class below this node, appending its path to `path`,
-    /// without removing anything.
-    fn peek_min<'a>(&'a self, path: &mut Vec<KeyPart>) -> Option<&'a TupleSet> {
-        if !self.here.is_empty() {
-            return Some(&self.here);
-        }
-        for (part, child) in &self.children {
-            path.push(part.clone());
-            if let Some(set) = child.peek_min(path) {
-                return Some(set);
-            }
-            path.pop();
-        }
-        None
     }
 
     /// Structurally merges `other` into `self`, calling `on_dup(table
@@ -272,237 +255,6 @@ fn merge_partitioned_impl<M: PartitionMerge>(
     inserted
 }
 
-/// The minimal equivalence class, extracted from a Delta queue ahead of
-/// its execution slot by the lookahead step machine.
-///
-/// [`DeltaQueue::prepare_min_class`] removes the minimal class exactly
-/// like [`DeltaQueue::pop_min_class`] would, but wraps it so the engine
-/// can hold it *speculatively* while later epoch merges land:
-///
-/// * a merge whose minimum key orders **after** `key` cannot touch the
-///   class (no new tuple can join it or precede it) — the preparation
-///   stays valid and the next step starts from it with zero extraction
-///   work on the critical path;
-/// * a merge whose minimum orders **at or below** `key` invalidates it:
-///   [`DeltaQueue::restore_prepared`] returns the tuples to the queue,
-///   where canonical-set semantics collapse any duplicates the merge
-///   introduced, so the subsequent pop yields exactly the class the
-///   non-lookahead engine would have extracted. The pop *schedule* is
-///   therefore bit-identical whether or not classes are ever prepared.
-#[derive(Debug)]
-pub struct PreparedClass {
-    /// The class's order key (the minimum at preparation time).
-    pub key: OrderKey,
-    /// The class members.
-    pub tuples: Vec<Tuple>,
-    /// The epoch sequence number current at preparation time: merges up
-    /// to and including this epoch are already reflected in the class,
-    /// later ones must be validated against `key`.
-    pub epoch_mark: u64,
-}
-
-impl PreparedClass {
-    /// True when a merged epoch with minimal key `merged_min` leaves
-    /// this preparation valid (every merged tuple orders strictly after
-    /// the prepared class, so none can join or precede it).
-    pub fn survives(&self, merged_min: Option<&OrderKey>) -> bool {
-        match merged_min {
-            None => true,
-            Some(min) => *min > self.key,
-        }
-    }
-}
-
-/// One closed staging epoch on its way into the Delta queue: the
-/// per-partition runs taken by [`ShardedInbox::swap_epoch`], with their
-/// subtree builds possibly still in flight on the pool's background
-/// lane.
-///
-/// This is the unit the pipelined engine's epoch *ring* holds: with
-/// `pipeline_depth` ≥ 2 the coordinator closes up to `depth` epochs and
-/// lets their builds proceed while it does other work, absorbing each
-/// epoch **in order** via [`DeltaQueue::absorb_epoch`] once its builds
-/// complete (or blocking on the oldest when the ring is full). Absorb
-/// order does not affect the queue contents — the Delta structures are
-/// canonical sets — but in-order absorption keeps the per-epoch minimum
-/// keys meaningful for lookahead invalidation.
-pub struct EpochBuild {
-    inner: EpochInner,
-    staged: usize,
-    seq: u64,
-}
-
-/// One partition's finished background build.
-struct Built<P> {
-    partial: P,
-    len: usize,
-    per_table: Vec<u64>,
-    /// Minimum staged key of the partition (pre-dedup — conservative
-    /// for invalidation checks).
-    min_key: Option<OrderKey>,
-    /// The emptied run buffer, recycled to the caller.
-    run: Vec<(OrderKey, Tuple)>,
-}
-
-enum EpochInner {
-    /// Below the parallel-merge threshold (or no usable pool): the raw
-    /// runs, inserted sequentially at absorb time.
-    Sequential(Vec<Vec<(OrderKey, Tuple)>>),
-    /// Per-partition tree builds in flight; `spare` keeps the empty
-    /// partition buffers for recycling.
-    Tree {
-        batch: TaskBatch<Built<DeltaNode>>,
-        spare: Vec<Vec<(OrderKey, Tuple)>>,
-    },
-    /// Flat-map twin of `Tree`.
-    Flat {
-        batch: TaskBatch<Built<BTreeMap<OrderKey, TupleSet>>>,
-        spare: Vec<Vec<(OrderKey, Tuple)>>,
-    },
-}
-
-fn build_task<M: PartitionMerge>(
-    mut run: Vec<(OrderKey, Tuple)>,
-    n_tables: usize,
-) -> Built<M::Partial> {
-    let min_key = run.iter().map(|(k, _)| k).min().cloned();
-    let mut per_table = vec![0u64; n_tables];
-    let (partial, len) = M::build_partial(&mut run, &mut per_table);
-    Built {
-        partial,
-        len,
-        per_table,
-        min_key,
-        run,
-    }
-}
-
-impl EpochBuild {
-    /// Closes a swapped-out set of partition runs into an epoch build.
-    ///
-    /// Mirrors the parallel/sequential decision of
-    /// [`DeltaTree::merge_partitioned`]: with a multi-thread pool, at
-    /// least `seq_threshold` staged tuples and more than one busy
-    /// partition, the per-partition subtree builds are submitted on the
-    /// pool's **background lane** (via [`jstar_pool::submit_background`])
-    /// and run while the caller does other work; otherwise the runs are
-    /// kept raw and inserted sequentially at absorb time. `seq` is the
-    /// epoch's sequence number (the [`PreparedClass::epoch_mark`]
-    /// domain); `n_tables` sizes the per-table insert counters.
-    pub fn start(
-        kind: DeltaKind,
-        seq: u64,
-        partitions: Vec<Vec<(OrderKey, Tuple)>>,
-        pool: Option<&ThreadPool>,
-        n_tables: usize,
-        seq_threshold: usize,
-    ) -> EpochBuild {
-        let staged: usize = partitions.iter().map(Vec::len).sum();
-        let busy = partitions.iter().filter(|p| !p.is_empty()).count();
-        let pool = match pool {
-            Some(p) if staged >= seq_threshold.max(1) && busy > 1 && p.num_threads() > 1 => p,
-            _ => {
-                return EpochBuild {
-                    inner: EpochInner::Sequential(partitions),
-                    staged,
-                    seq,
-                }
-            }
-        };
-        let mut spare = Vec::with_capacity(partitions.len() - busy);
-        let mut runs = Vec::with_capacity(busy);
-        for run in partitions {
-            if run.is_empty() {
-                spare.push(run);
-            } else {
-                runs.push(run);
-            }
-        }
-        let inner = match kind {
-            DeltaKind::Tree => EpochInner::Tree {
-                batch: jstar_pool::submit_background(
-                    pool,
-                    runs.into_iter()
-                        .map(|run| move || build_task::<DeltaTree>(run, n_tables))
-                        .collect(),
-                ),
-                spare,
-            },
-            DeltaKind::Flat => EpochInner::Flat {
-                batch: jstar_pool::submit_background(
-                    pool,
-                    runs.into_iter()
-                        .map(|run| move || build_task::<FlatDelta>(run, n_tables))
-                        .collect(),
-                ),
-                spare,
-            },
-        };
-        EpochBuild { inner, staged, seq }
-    }
-
-    /// Number of staged entries in the epoch (pre-dedup).
-    pub fn staged(&self) -> usize {
-        self.staged
-    }
-
-    /// The epoch's sequence number.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// True once the epoch can be absorbed without waiting: its
-    /// background builds (if any) have all completed.
-    pub fn is_ready(&self) -> bool {
-        match &self.inner {
-            EpochInner::Sequential(_) => true,
-            EpochInner::Tree { batch, .. } => batch.is_complete(),
-            EpochInner::Flat { batch, .. } => batch.is_complete(),
-        }
-    }
-}
-
-/// The outcome of absorbing one [`EpochBuild`].
-pub struct EpochAbsorbed {
-    /// Tuples actually inserted (duplicates dropped).
-    pub inserted: usize,
-    /// Minimum staged key of the epoch (pre-dedup) — the lookahead
-    /// invalidation probe. `None` for an empty epoch.
-    pub min_key: Option<OrderKey>,
-    /// The emptied run buffers, recycled for the next swap.
-    pub buffers: Vec<Vec<(OrderKey, Tuple)>>,
-}
-
-fn absorb_built<M: PartitionMerge>(
-    m: &mut M,
-    builts: Vec<Built<M::Partial>>,
-    inserted_by_table: &mut [u64],
-    buffers: &mut Vec<Vec<(OrderKey, Tuple)>>,
-) -> (usize, Option<OrderKey>) {
-    let mut inserted = 0usize;
-    let mut min_key: Option<OrderKey> = None;
-    for built in builts {
-        inserted += built.len;
-        for (ti, c) in built.per_table.iter().enumerate() {
-            inserted_by_table[ti] += c;
-        }
-        if let Some(k) = built.min_key {
-            if min_key.as_ref().is_none_or(|m| k < *m) {
-                min_key = Some(k);
-            }
-        }
-        let mut dropped = 0usize;
-        m.graft(built.partial, &mut |ti| {
-            inserted_by_table[ti] -= 1;
-            dropped += 1;
-        });
-        inserted -= dropped;
-        buffers.push(built.run);
-    }
-    m.add_len(inserted);
-    (inserted, min_key)
-}
-
 /// The single-threaded Delta tree.
 #[derive(Debug, Default)]
 pub struct DeltaTree {
@@ -543,54 +295,6 @@ impl DeltaTree {
         let class = self.root.pop_min(&mut path)?;
         self.len -= class.len();
         Some((OrderKey(path), class))
-    }
-
-    /// Non-destructive [`DeltaTree::pop_min_class`]: the minimal key and
-    /// borrowed views of the class members, leaving the tree untouched.
-    pub fn peek_min_class(&self) -> Option<(OrderKey, Vec<&Tuple>)> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut path = Vec::new();
-        let set = self.root.peek_min(&mut path)?;
-        Some((OrderKey(path), set.iter().collect()))
-    }
-
-    /// The minimal queued order key, without removing anything.
-    pub fn peek_min_key(&self) -> Option<OrderKey> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut path = Vec::new();
-        self.root.peek_min(&mut path)?;
-        Some(OrderKey(path))
-    }
-
-    /// Extracts the minimal equivalence class into a [`PreparedClass`]
-    /// stamped with `epoch_mark`. Exactly [`DeltaTree::pop_min_class`]
-    /// plus the speculation wrapper — see [`PreparedClass`] for the
-    /// validity contract.
-    pub fn prepare_min_class(&mut self, epoch_mark: u64) -> Option<PreparedClass> {
-        let (key, tuples) = self.pop_min_class()?;
-        Some(PreparedClass {
-            key,
-            tuples,
-            epoch_mark,
-        })
-    }
-
-    /// Returns an invalidated [`PreparedClass`] to the tree. Canonical
-    /// set semantics collapse any duplicates that merged in at the same
-    /// position while the class was extracted; `on_dup(table index)` is
-    /// called for each such collapse so the caller can unwind the
-    /// insert accounting the duplicate's merge already recorded.
-    pub fn restore_prepared(&mut self, prepared: PreparedClass, on_dup: &mut dyn FnMut(usize)) {
-        for t in prepared.tuples {
-            let ti = t.table().index();
-            if !self.insert(&prepared.key, t) {
-                on_dup(ti);
-            }
-        }
     }
 
     /// Visits every queued tuple non-destructively, in no particular
@@ -728,37 +432,6 @@ impl FlatDelta {
         Some((key, set.into_iter().collect()))
     }
 
-    /// Non-destructive [`FlatDelta::pop_min_class`].
-    pub fn peek_min_class(&self) -> Option<(OrderKey, Vec<&Tuple>)> {
-        let (key, set) = self.map.first_key_value()?;
-        Some((key.clone(), set.iter().collect()))
-    }
-
-    /// The minimal queued order key, without removing anything.
-    pub fn peek_min_key(&self) -> Option<OrderKey> {
-        self.map.first_key_value().map(|(k, _)| k.clone())
-    }
-
-    /// Flat-map twin of [`DeltaTree::prepare_min_class`].
-    pub fn prepare_min_class(&mut self, epoch_mark: u64) -> Option<PreparedClass> {
-        let (key, tuples) = self.pop_min_class()?;
-        Some(PreparedClass {
-            key,
-            tuples,
-            epoch_mark,
-        })
-    }
-
-    /// Flat-map twin of [`DeltaTree::restore_prepared`].
-    pub fn restore_prepared(&mut self, prepared: PreparedClass, on_dup: &mut dyn FnMut(usize)) {
-        for t in prepared.tuples {
-            let ti = t.table().index();
-            if !self.insert(&prepared.key, t) {
-                on_dup(ti);
-            }
-        }
-    }
-
     /// Flat-map twin of [`DeltaTree::for_each_pending`].
     pub fn for_each_pending(&self, f: &mut dyn FnMut(&Tuple)) {
         for set in self.map.values() {
@@ -880,102 +553,6 @@ impl DeltaQueue {
         match self {
             DeltaQueue::Tree(t) => t.pop_min_class(),
             DeltaQueue::Flat(f) => f.pop_min_class(),
-        }
-    }
-
-    /// The structure this queue was configured with.
-    pub fn kind(&self) -> DeltaKind {
-        match self {
-            DeltaQueue::Tree(_) => DeltaKind::Tree,
-            DeltaQueue::Flat(_) => DeltaKind::Flat,
-        }
-    }
-
-    /// Non-destructive [`DeltaQueue::pop_min_class`].
-    pub fn peek_min_class(&self) -> Option<(OrderKey, Vec<&Tuple>)> {
-        match self {
-            DeltaQueue::Tree(t) => t.peek_min_class(),
-            DeltaQueue::Flat(f) => f.peek_min_class(),
-        }
-    }
-
-    /// The minimal queued order key, without removing anything.
-    pub fn peek_min_key(&self) -> Option<OrderKey> {
-        match self {
-            DeltaQueue::Tree(t) => t.peek_min_key(),
-            DeltaQueue::Flat(f) => f.peek_min_key(),
-        }
-    }
-
-    /// Extracts the minimal class speculatively (see [`PreparedClass`]).
-    pub fn prepare_min_class(&mut self, epoch_mark: u64) -> Option<PreparedClass> {
-        match self {
-            DeltaQueue::Tree(t) => t.prepare_min_class(epoch_mark),
-            DeltaQueue::Flat(f) => f.prepare_min_class(epoch_mark),
-        }
-    }
-
-    /// Returns an invalidated [`PreparedClass`] to the queue (see
-    /// [`DeltaTree::restore_prepared`]).
-    pub fn restore_prepared(&mut self, prepared: PreparedClass, on_dup: &mut dyn FnMut(usize)) {
-        match self {
-            DeltaQueue::Tree(t) => t.restore_prepared(prepared, on_dup),
-            DeltaQueue::Flat(f) => f.restore_prepared(prepared, on_dup),
-        }
-    }
-
-    /// Absorbs one closed epoch: joins its background subtree builds
-    /// (helping execute queued pool work while anything is outstanding)
-    /// and merges the contents into the queue. Contents — and therefore
-    /// the [`DeltaQueue::pop_min_class`] sequence — are identical to
-    /// inserting every staged `(key, tuple)` sequentially, exactly as
-    /// for [`DeltaQueue::merge_partitioned`].
-    ///
-    /// The epoch must have been started with this queue's
-    /// [`DeltaQueue::kind`]; mixing kinds is a programming error and
-    /// panics.
-    pub fn absorb_epoch(
-        &mut self,
-        epoch: EpochBuild,
-        pool: Option<&ThreadPool>,
-        inserted_by_table: &mut [u64],
-    ) -> EpochAbsorbed {
-        let mut buffers;
-        let (inserted, min_key) = match (epoch.inner, self) {
-            (EpochInner::Sequential(mut runs), queue) => {
-                let mut inserted = 0usize;
-                let mut min_key: Option<OrderKey> = None;
-                for run in runs.iter_mut() {
-                    for (key, t) in run.drain(..) {
-                        if min_key.as_ref().is_none_or(|m| key < *m) {
-                            min_key = Some(key.clone());
-                        }
-                        let ti = t.table().index();
-                        if queue.insert(&key, t) {
-                            inserted_by_table[ti] += 1;
-                            inserted += 1;
-                        }
-                    }
-                }
-                buffers = runs;
-                (inserted, min_key)
-            }
-            (EpochInner::Tree { batch, spare }, DeltaQueue::Tree(tree)) => {
-                buffers = spare;
-                let pool = pool.expect("a parallel epoch build implies a pool");
-                absorb_built(tree, batch.join(pool), inserted_by_table, &mut buffers)
-            }
-            (EpochInner::Flat { batch, spare }, DeltaQueue::Flat(flat)) => {
-                buffers = spare;
-                let pool = pool.expect("a parallel epoch build implies a pool");
-                absorb_built(flat, batch.join(pool), inserted_by_table, &mut buffers)
-            }
-            _ => panic!("EpochBuild kind does not match the DeltaQueue it is absorbed into"),
-        };
-        EpochAbsorbed {
-            inserted,
-            min_key,
-            buffers,
         }
     }
 
@@ -1649,174 +1226,6 @@ mod tests {
         total.fetch_add(n, Ordering::Relaxed);
         assert_eq!(total.load(Ordering::Relaxed), 8000);
         assert!(inbox.is_empty());
-    }
-
-    #[test]
-    fn peek_matches_pop_without_mutating() {
-        let mut tree = DeltaTree::new();
-        assert!(tree.peek_min_class().is_none());
-        assert!(tree.peek_min_key().is_none());
-        tree.insert(&skey(0, 5), tup(0, 5));
-        tree.insert(&skey(0, 2), tup(0, 2));
-        tree.insert(&skey(0, 2), tup(0, 22));
-        let mut flat = FlatDelta::new();
-        flat.insert(&skey(0, 5), tup(0, 5));
-        flat.insert(&skey(0, 2), tup(0, 2));
-        flat.insert(&skey(0, 2), tup(0, 22));
-        for _ in 0..2 {
-            // Peeking twice returns the same answer: nothing moved.
-            assert_eq!(tree.peek_min_key(), Some(skey(0, 2)));
-            assert_eq!(flat.peek_min_key(), Some(skey(0, 2)));
-            let (k, members) = tree.peek_min_class().unwrap();
-            assert_eq!(k, skey(0, 2));
-            assert_eq!(members.len(), 2);
-            let (kf, mf) = flat.peek_min_class().unwrap();
-            assert_eq!(kf, skey(0, 2));
-            assert_eq!(mf.len(), 2);
-        }
-        assert_eq!(tree.len(), 3);
-        let (k, class) = tree.pop_min_class().unwrap();
-        assert_eq!(k, skey(0, 2));
-        assert_eq!(class.len(), 2);
-    }
-
-    #[test]
-    fn prepare_then_restore_is_identity() {
-        for kind in [DeltaKind::Tree, DeltaKind::Flat] {
-            let mut q = DeltaQueue::new(kind);
-            let mut control = DeltaQueue::new(kind);
-            for i in 0..30 {
-                q.insert(&skey(0, i % 6), tup(0, i));
-                control.insert(&skey(0, i % 6), tup(0, i));
-            }
-            let prepared = q.prepare_min_class(7).unwrap();
-            assert_eq!(prepared.key, skey(0, 0));
-            assert_eq!(prepared.epoch_mark, 7);
-            assert_eq!(q.len() + prepared.tuples.len(), control.len());
-            let mut dups = 0;
-            q.restore_prepared(prepared, &mut |_| dups += 1);
-            assert_eq!(dups, 0, "nothing merged meanwhile, nothing to dedup");
-            assert_eq!(q.len(), control.len());
-            loop {
-                match (q.pop_min_class(), control.pop_min_class()) {
-                    (None, None) => break,
-                    (Some((ka, mut ca)), Some((kb, mut cb))) => {
-                        assert_eq!(ka, kb);
-                        ca.sort();
-                        cb.sort();
-                        assert_eq!(ca, cb);
-                    }
-                    other => panic!("queues disagree: {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn restore_after_duplicate_merge_collapses_and_reports() {
-        // A merge lands a duplicate of a prepared tuple (same key, same
-        // tuple) while the class is extracted; restoring must collapse
-        // it and report the dedup so insert accounting can unwind.
-        let mut q = DeltaQueue::new(DeltaKind::Tree);
-        q.insert(&skey(0, 1), tup(0, 10));
-        q.insert(&skey(0, 1), tup(0, 11));
-        q.insert(&skey(0, 9), tup(0, 90));
-        let prepared = q.prepare_min_class(0).unwrap();
-        assert_eq!(prepared.tuples.len(), 2);
-        // The adversarial merge: one duplicate of a prepared tuple, one
-        // fresh tuple in the same class.
-        q.insert(&skey(0, 1), tup(0, 10));
-        q.insert(&skey(0, 1), tup(0, 12));
-        assert!(!prepared.survives(Some(&skey(0, 1))));
-        let mut dup_tables = Vec::new();
-        q.restore_prepared(prepared, &mut |ti| dup_tables.push(ti));
-        assert_eq!(dup_tables, vec![0], "exactly the duplicate reported");
-        let (k, mut class) = q.pop_min_class().unwrap();
-        assert_eq!(k, skey(0, 1));
-        class.sort();
-        let mut want = vec![tup(0, 10), tup(0, 11), tup(0, 12)];
-        want.sort();
-        assert_eq!(class, want, "restored ∪ merged, duplicates collapsed");
-    }
-
-    #[test]
-    fn prepared_survives_only_strictly_later_merges() {
-        let p = PreparedClass {
-            key: skey(0, 5),
-            tuples: vec![tup(0, 5)],
-            epoch_mark: 3,
-        };
-        assert!(p.survives(None), "an empty epoch never invalidates");
-        assert!(p.survives(Some(&skey(0, 6))));
-        assert!(p.survives(Some(&skey(1, 0))));
-        assert!(
-            !p.survives(Some(&skey(0, 5))),
-            "equal keys extend the class"
-        );
-        assert!(!p.survives(Some(&skey(0, 4))), "earlier keys preempt it");
-    }
-
-    #[test]
-    fn epoch_build_absorb_matches_merge_partitioned() {
-        let pool = jstar_pool::ThreadPool::new(4);
-        for kind in [DeltaKind::Tree, DeltaKind::Flat] {
-            let entries: Vec<(OrderKey, Tuple)> = (0..2500)
-                .map(|i| (skey((i % 3) as u32, i % 50), tup((i % 2) as u32, i % 250)))
-                .collect();
-            let probe = ShardedInbox::with_partitioning(0, 8, 2);
-            let mut parts_a: Vec<Vec<(OrderKey, Tuple)>> = (0..8).map(|_| Vec::new()).collect();
-            let mut parts_b: Vec<Vec<(OrderKey, Tuple)>> = (0..8).map(|_| Vec::new()).collect();
-            for (k, t) in entries {
-                let p = probe.partition_of(&k);
-                parts_a[p].push((k.clone(), t.clone()));
-                parts_b[p].push((k, t));
-            }
-            let mut direct = DeltaQueue::new(kind);
-            let mut ca = vec![0u64; 2];
-            let na = direct.merge_partitioned(&mut parts_a, Some(&pool), &mut ca, 1);
-
-            let mut ringed = DeltaQueue::new(kind);
-            let build = EpochBuild::start(kind, 1, parts_b, Some(&pool), 2, 1);
-            assert_eq!(build.staged(), 2500);
-            assert_eq!(build.seq(), 1);
-            let mut cb = vec![0u64; 2];
-            let absorbed = ringed.absorb_epoch(build, Some(&pool), &mut cb);
-            assert_eq!(absorbed.inserted, na);
-            assert_eq!(cb, ca);
-            assert_eq!(absorbed.min_key, Some(skey(0, 0)));
-            assert_eq!(absorbed.buffers.len(), 8, "all run buffers recycled");
-            loop {
-                match (direct.pop_min_class(), ringed.pop_min_class()) {
-                    (None, None) => break,
-                    (Some((ka, mut xa)), Some((kb, mut xb))) => {
-                        assert_eq!(ka, kb);
-                        xa.sort();
-                        xb.sort();
-                        assert_eq!(xa, xb);
-                    }
-                    other => panic!("queues disagree ({kind:?}): {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn epoch_build_sequential_fallback_below_threshold() {
-        // Small epochs (or no pool) skip the background lane entirely.
-        let mut parts: Vec<Vec<(OrderKey, Tuple)>> = (0..4).map(|_| Vec::new()).collect();
-        for i in 0..20 {
-            parts[(i % 4) as usize].push((skey(0, i), tup(0, i)));
-        }
-        let build = EpochBuild::start(DeltaKind::Tree, 0, parts, None, 1, usize::MAX);
-        assert!(build.is_ready(), "sequential epochs are always ready");
-        let mut q = DeltaQueue::new(DeltaKind::Tree);
-        let mut by_table = vec![0u64; 1];
-        let absorbed = q.absorb_epoch(build, None, &mut by_table);
-        assert_eq!(absorbed.inserted, 20);
-        assert_eq!(absorbed.min_key, Some(skey(0, 0)));
-        assert_eq!(absorbed.buffers.len(), 4);
-        assert!(absorbed.buffers.iter().all(Vec::is_empty));
-        assert_eq!(q.len(), 20);
     }
 
     #[test]

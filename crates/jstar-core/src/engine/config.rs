@@ -12,13 +12,6 @@ use std::sync::Arc;
 /// A tuple-lifetime predicate (§5 step 4): returns true to keep a tuple.
 pub type LifetimeHint = Arc<dyn Fn(&Tuple) -> bool + Send + Sync>;
 
-/// The deepest supported [`EngineConfig::pipeline_depth`]: the epoch
-/// ring holds at most this many closed staging epochs in flight.
-/// Requested depths above it are clamped (and the effective depth is
-/// reported in [`super::RunReport::pipeline_depth`]) — a configuration
-/// lie is made visible instead of silently honoured.
-pub const MAX_PIPELINE_DEPTH: usize = 8;
-
 /// Engine configuration — the paper's compiler flags and runtime options,
 /// kept *outside* the program source (workflow stages 3–4).
 #[derive(Clone)]
@@ -47,13 +40,12 @@ pub struct EngineConfig {
     /// Which Delta structure to use (the tree of the paper, or the flat
     /// ordered map kept as an ablation).
     pub delta: DeltaKind,
-    /// Tuple-lifetime hints (§5 step 4): after every `hint_interval` steps
-    /// the engine drops tuples the hook rejects from the table's Gamma
-    /// store. "We simply retain all tuples, or use manual lifetime hints
-    /// from the user to determine when tuples can be discarded."
-    pub lifetime_hints: Vec<(TableId, LifetimeHint)>,
-    /// How often (in steps) lifetime hints run; 0 disables them.
-    pub hint_interval: u64,
+    /// Tuple-lifetime hints (§5 step 4), each with its own interval:
+    /// every `interval` steps the engine drops tuples the hook rejects
+    /// from the table's Gamma store. "We simply retain all tuples, or use
+    /// manual lifetime hints from the user to determine when tuples can
+    /// be discarded." Register through [`EngineConfig::lifetime_hint`].
+    pub lifetime_hints: Vec<(TableId, u64, LifetimeHint)>,
     /// Classes of at most this many tuples execute inline on the
     /// coordinator instead of being forked to the pool: below this width
     /// the fork/join round trip costs more than the work. Ignored in
@@ -65,38 +57,16 @@ pub struct EngineConfig {
     /// sequential insert loop, whose per-tuple cost is below the
     /// fork/join round trip at that size. Ignored in sequential mode.
     pub parallel_merge_threshold: usize,
-    /// Drain/execute pipelining depth — how many step artifacts the
-    /// lookahead step machine keeps in flight:
-    ///
-    /// * `0` — the strictly alternating loop (absorb, then execute;
-    ///   workers idle during each other's phase);
-    /// * `1` (the default) — the coordinator closes staging epochs and
-    ///   merges their Delta subtrees *while* a forked class executes,
-    ///   with the subtree builds on the pool's background lane so
-    ///   execute chunks always preempt them; one epoch in flight;
-    /// * `≥ 2` — a ring of up to `pipeline_depth` closed epochs, each
-    ///   with its subtree builds in flight, **plus** the lookahead:
-    ///   while step N executes the next minimal class is pre-extracted
-    ///   and its execution plan built speculatively, so step N+1's
-    ///   fan-out launches the instant step N joins (or the speculation
-    ///   is rolled back when a merge orders at or below it — see
-    ///   [`super::RunReport::lookahead_hits`]).
-    ///
-    /// Values above [`MAX_PIPELINE_DEPTH`] are clamped; the effective
-    /// depth is reported in [`super::RunReport::pipeline_depth`].
-    /// Results are bit-identical at every depth (the Delta structures
-    /// are canonical sets, and invalidated speculations are returned to
-    /// them before anything observable happens); ignored in sequential
-    /// mode.
-    pub pipeline_depth: usize,
-    /// Feedback-driven overlap batch sizing (default on). The pipelined
-    /// coordinator triggers a mid-step epoch swap once "enough" tuples
-    /// are staged; with this flag set the swap point is chosen per step
-    /// by a controller that tracks recent epoch-merge cost against the
-    /// executing class's window, instead of the fixed
-    /// `max(64, parallel_merge_threshold / 4)` fallback. Costs a few
-    /// clock reads per step. Ignored when `pipeline_depth` is 0.
-    pub adaptive_overlap: bool,
+    /// Drain/execute pipelining (default on). While a forked class
+    /// executes, the coordinator swaps the staged epoch out of the
+    /// inbox once `max(64, parallel_merge_threshold / 4)` tuples are
+    /// waiting and merges it into the Delta queue right away, so the
+    /// next step's absorb finds only a small remainder. `false` is the
+    /// strictly alternating loop (absorb, then execute) — the reference
+    /// arm of the determinism tests and the depth-sweep bench gate.
+    /// Results are identical either way (the Delta structures are
+    /// canonical sets); ignored in sequential mode.
+    pub pipelined: bool,
     /// Quiescent-point store compaction threshold: at the coordinator's
     /// maintain phase (right after lifetime hints run), a hinted table
     /// whose store reports more than this fraction of tombstoned slots
@@ -181,11 +151,9 @@ impl Default for EngineConfig {
             pool: None,
             delta: DeltaKind::Tree,
             lifetime_hints: Vec::new(),
-            hint_interval: 0,
             inline_class_threshold: 4,
             parallel_merge_threshold: 1024,
-            pipeline_depth: 1,
-            adaptive_overlap: true,
+            pipelined: true,
             compact_tombstones_above: 0.5,
             checkpoint_every: 0,
             checkpoint_path: None,
@@ -269,23 +237,10 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the drain/execute pipelining depth: `0` for the strictly
-    /// alternating loop, `1` (default) to overlap the Delta merge with
-    /// class execution, `≥ 2` for the epoch ring plus the pre-extracted
-    /// next class. Clamped to [`MAX_PIPELINE_DEPTH`]; the effective
-    /// depth lands in [`super::RunReport::pipeline_depth`]. See
-    /// [`EngineConfig::pipeline_depth`].
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth;
-        self
-    }
-
-    /// Enables or disables the feedback-driven overlap controller (on
-    /// by default); off restores the fixed
-    /// `max(64, parallel_merge_threshold / 4)` swap trigger. See
-    /// [`EngineConfig::adaptive_overlap`].
-    pub fn adaptive_overlap(mut self, on: bool) -> Self {
-        self.adaptive_overlap = on;
+    /// Turns the drain/execute overlap on (the default) or off (the
+    /// strictly alternating loop). See [`EngineConfig::pipelined`].
+    pub fn pipelined(mut self, on: bool) -> Self {
+        self.pipelined = on;
         self
     }
 
@@ -345,17 +300,18 @@ impl EngineConfig {
         self
     }
 
-    /// Registers a tuple-lifetime hint for `table`: every `interval` steps,
-    /// tuples the hook rejects are discarded from Gamma (§5 step 4 — the
-    /// manual garbage-collection hints).
+    /// Registers a tuple-lifetime hint for `table`: every `interval` steps
+    /// (0 is treated as 1), tuples the hook rejects are discarded from
+    /// Gamma (§5 step 4 — the manual garbage-collection hints). Each hint
+    /// keeps its own interval.
     pub fn lifetime_hint(
         mut self,
         table: TableId,
         interval: u64,
         keep: impl Fn(&Tuple) -> bool + Send + Sync + 'static,
     ) -> Self {
-        self.lifetime_hints.push((table, Arc::new(keep)));
-        self.hint_interval = interval.max(1);
+        self.lifetime_hints
+            .push((table, interval.max(1), Arc::new(keep)));
         self
     }
 }

@@ -1,8 +1,7 @@
 //! The coordinator: a configured engine instance and its step loop,
 //! written as the explicit phase state machine described in the
-//! [module docs](super) — absorb → extract (committing a surviving
-//! lookahead speculation for free) → execute (∥ absorb + next-class
-//! prepare when pipelined) → maintain.
+//! [module docs](super) — absorb → extract → execute (∥ absorb when
+//! pipelined) → maintain.
 
 use crate::delta::{DeltaQueue, ShardedInbox};
 use crate::error::Result;
@@ -25,7 +24,7 @@ use super::report::RunReport;
 use super::runtime::{
     process_class_chunk, process_class_delta_join, process_tuple, put_tuple, QueryPlan, RunState,
 };
-use super::schedule::{slice_pieces, ClassPlan, Lookahead, PreparedExec, Scheduler};
+use super::schedule::{ClassPlan, Scheduler};
 use crate::error::JStarError;
 
 /// A configured instance of a JStar program, ready to run.
@@ -163,11 +162,9 @@ impl Engine {
     /// The step loop is the four-phase machine of the
     /// [module docs](super): each iteration **absorbs** staged tuples
     /// into the Delta queue, **extracts** the minimal equivalence
-    /// class — taken for free from the lookahead when a speculation
-    /// survived ([`EngineConfig::pipeline_depth`] ≥ 2) — **executes**
-    /// it (overlapping the next absorb and the next extraction when
-    /// pipelined), then **maintains** the stores at the quiescent
-    /// point.
+    /// class, **executes** it (absorbing the next step's staged tuples
+    /// meanwhile when [`EngineConfig::pipelined`]), then **maintains**
+    /// the stores at the quiescent point.
     pub fn run(&mut self) -> Result<RunReport> {
         let start = Instant::now();
         let state = &*self.state;
@@ -201,7 +198,6 @@ impl Engine {
             .collect();
         let scheduler = Scheduler::new(self.config.inline_class_threshold)
             .with_delta_join(self.config.delta_join_threshold, join_tables);
-        let mut lookahead = Lookahead::new(pipeline.lookahead_enabled());
         // Eager index refresh: one background-lane batch in flight at a
         // time, submitted at the end of each maintain phase so catch-up
         // hides behind the next step's execute window, and joined at the
@@ -221,8 +217,7 @@ impl Engine {
         let mut checkpoint_seq: Option<u64> = None;
         // The per-step phase timers share the record_steps gate:
         // profiling runs get the split; production runs pay no clock
-        // reads in the coordinator loop beyond the few per step the
-        // adaptive overlap controller needs.
+        // reads in the coordinator loop.
         let timing = self.config.record_steps;
         loop {
             if state.has_errors() {
@@ -230,27 +225,15 @@ impl Engine {
             }
 
             // ── Phase 1: absorb ─────────────────────────────────────
-            // Everything staged by earlier steps must be queued (and
-            // checked against the speculation) before the next extract
-            // — a staged key may order before the current tree minimum.
-            // Under pipelining most of this already happened during the
-            // previous execute phase; this drains the epoch ring and
-            // the remainder.
-            pipeline.absorb(state, &mut tree, self.pool.as_deref(), &mut lookahead);
+            // Everything staged by earlier steps must be queued before
+            // the next extract — a staged key may order before the
+            // current tree minimum. Under pipelining most of this
+            // already happened during the previous execute phase.
+            pipeline.absorb(state, &mut tree, self.pool.as_deref());
 
             // ── Phase 2: extract ────────────────────────────────────
-            // A surviving speculation *is* the minimal class (every
-            // merge since it was prepared ordered strictly after it),
-            // with its execution shape already built — forked classes
-            // arrive pre-sliced into chunk jobs, so the fan-out
-            // launches with zero extraction, planning, or boundary
-            // work. Otherwise pop.
-            let (key, mut class, speculative_exec) = match lookahead.take(&state.stats) {
-                Some((prepared, exec)) => (prepared.key, prepared.tuples, Some(exec)),
-                None => match tree.pop_min_class() {
-                    Some((key, class)) => (key, class, None),
-                    None => break,
-                },
+            let Some((key, mut class)) = tree.pop_min_class() else {
+                break;
             };
             steps += 1;
             if let Some(max) = self.config.max_steps {
@@ -261,84 +244,60 @@ impl Engine {
                     break;
                 }
             }
-            // A pre-sliced speculation's tuples live in its pieces.
-            let class_size = class.len()
-                + speculative_exec
-                    .as_ref()
-                    .map_or(0, PreparedExec::sliced_len);
+            let class_size = class.len();
             state.stats.record_step(class_size);
             let exec_start = timing.then(Instant::now);
 
-            // ── Phase 3: execute (∥ absorb + next extract when pipelined) ──
-            // Fresh pops decide their shape here; a speculation decided
-            // (and pre-sliced) it inside the previous execute window.
-            let exec = match speculative_exec {
-                Some(exec) => exec,
-                None if scheduler.delta_join(&class) => PreparedExec::DeltaJoin,
-                None => match scheduler.plan(self.pool.as_deref(), class_size) {
-                    ClassPlan::Inline { sort } => PreparedExec::Inline { sort },
-                    ClassPlan::Forked { chunk } => PreparedExec::Forked {
-                        pieces: slice_pieces(std::mem::take(&mut class), chunk),
-                    },
-                },
-            };
-            match exec {
-                PreparedExec::DeltaJoin => {
-                    // Batched semi-naive execution: the whole class is the
-                    // delta, and join-plan rules walk Gamma once per
-                    // class instead of once per tuple. Like the inline
-                    // arm this runs without the pipeline overlap window —
-                    // the join fan-out keeps the pool busy itself.
-                    state
-                        .stats
-                        .delta_join_classes
-                        .fetch_add(1, Ordering::Relaxed);
-                    process_class_delta_join(state, &key, &class, self.pool.as_deref());
-                }
-                PreparedExec::Forked { pieces } => {
-                    state.stats.forked_classes.fetch_add(1, Ordering::Relaxed);
-                    // lint: allow(expect): the planner only emits Forked when a pool exists.
-                    let pool = self.pool.as_ref().expect("forked plan implies a pool");
-                    let key = &key;
-                    let pieces = &pieces;
-                    let pipeline = &mut pipeline;
-                    let tree = &mut tree;
-                    let lookahead = &mut lookahead;
-                    pool.scope(|s| {
-                        // All chunks submitted as one batch: a single
-                        // wakeup, no per-task notify storm.
-                        s.spawn_batch(pieces.iter().map(|piece| {
-                            move |_: &jstar_pool::Scope<'_>| {
-                                process_class_chunk(state, key, piece);
+            // ── Phase 3: execute (∥ absorb when pipelined) ──────────
+            if scheduler.delta_join(&class) {
+                // Batched semi-naive execution: the whole class is the
+                // delta, and join-plan rules walk Gamma once per class
+                // instead of once per tuple. Like the inline arm this
+                // runs without the pipeline overlap window — the join
+                // fan-out keeps the pool busy itself.
+                state
+                    .stats
+                    .delta_join_classes
+                    .fetch_add(1, Ordering::Relaxed);
+                process_class_delta_join(state, &key, &class, self.pool.as_deref());
+            } else {
+                match scheduler.plan(self.pool.as_deref(), class_size) {
+                    ClassPlan::Forked { chunk } => {
+                        state.stats.forked_classes.fetch_add(1, Ordering::Relaxed);
+                        // lint: allow(expect): the planner only emits Forked when a pool exists.
+                        let pool = self.pool.as_ref().expect("forked plan implies a pool");
+                        let key = &key;
+                        let class = &class;
+                        let pipeline = &mut pipeline;
+                        let tree = &mut tree;
+                        pool.scope(|s| {
+                            // All chunks submitted as one batch: a single
+                            // wakeup, no per-task notify storm.
+                            s.spawn_batch(class.chunks(chunk).map(|piece| {
+                                move |_: &jstar_pool::Scope<'_>| {
+                                    process_class_chunk(state, key, piece);
+                                }
+                            }));
+                            if pipeline.pipelined() {
+                                // Join the class from inside the scope,
+                                // interleaving epoch absorption with
+                                // helping — the drain/execute overlap.
+                                pipeline.overlap(s, state, tree, pool);
                             }
-                        }));
-                        if pipeline.pipelined() {
-                            // Speculate on the next step while this one
-                            // runs (no-op below depth 2), then join the
-                            // class from inside the scope, interleaving
-                            // epoch absorption with helping — the
-                            // drain/execute overlap.
-                            lookahead.prepare(
-                                tree,
-                                &scheduler,
-                                Some(pool),
-                                pipeline.absorbed_seq(),
-                            );
-                            pipeline.overlap(s, state, tree, pool, lookahead, &scheduler);
-                        }
-                    });
-                }
-                PreparedExec::Inline { sort } => {
-                    // Narrow class or sequential engine: fork/join
-                    // overhead exceeds the work, execute on the
-                    // coordinator. The sequential engine additionally
-                    // sorts for a deterministic intra-class order.
-                    state.stats.inline_classes.fetch_add(1, Ordering::Relaxed);
-                    if sort {
-                        class.sort();
+                        });
                     }
-                    for t in class {
-                        process_tuple(state, &key, t);
+                    ClassPlan::Inline { sort } => {
+                        // Narrow class or sequential engine: fork/join
+                        // overhead exceeds the work, execute on the
+                        // coordinator. The sequential engine additionally
+                        // sorts for a deterministic intra-class order.
+                        state.stats.inline_classes.fetch_add(1, Ordering::Relaxed);
+                        if sort {
+                            class.sort();
+                        }
+                        for t in class {
+                            process_tuple(state, &key, t);
+                        }
                     }
                 }
             }
@@ -369,21 +328,22 @@ impl Engine {
             if let (Some(batch), Some(pool)) = (pending_refresh.take(), self.pool.as_deref()) {
                 batch.join(pool);
             }
-            if self.config.hint_interval > 0 && steps.is_multiple_of(self.config.hint_interval) {
-                for (table, keep) in &self.config.lifetime_hints {
-                    let store = state.gamma.store(*table);
-                    store.retain(&**keep);
-                    if store.maybe_compact(self.config.compact_tombstones_above) {
-                        state.stats.tables[table.index()]
-                            .compactions
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
+            for (table, interval, keep) in &self.config.lifetime_hints {
+                if !steps.is_multiple_of(*interval) {
+                    continue;
+                }
+                let store = state.gamma.store(*table);
+                store.retain(&**keep);
+                if store.maybe_compact(self.config.compact_tombstones_above) {
+                    state.stats.tables[table.index()]
+                        .compactions
+                        .fetch_add(1, Ordering::Relaxed);
                 }
             }
 
             // Periodic checkpointing shares the quiescent point: the
             // Delta queue is forced fully current (every staged epoch
-            // absorbed, any lookahead speculation returned), then the
+            // absorbed), then the
             // Gamma stores and pending tuples stream out atomically.
             // A failed write fails the run — the harness's injected
             // crashes rely on that behaving exactly like process death,
@@ -396,8 +356,7 @@ impl Engine {
                 // lint: allow(expect): is_some() is part of the guard condition above.
                 let dir = self.config.checkpoint_path.as_deref().expect("checked");
                 let t0 = Instant::now();
-                pipeline.absorb(state, &mut tree, self.pool.as_deref(), &mut lookahead);
-                lookahead.flush(&mut tree, &state.stats);
+                pipeline.absorb(state, &mut tree, self.pool.as_deref());
                 state.inbox.assert_quiescent();
                 let written = std::fs::create_dir_all(dir)
                     .map_err(|e| JStarError::Io(format!("{}: {e}", dir.display())))
@@ -491,9 +450,6 @@ impl Engine {
             execute_time: Duration::from_nanos(state.stats.execute_nanos.load(Ordering::Relaxed)),
             inline_classes: state.stats.inline_classes.load(Ordering::Relaxed),
             forked_classes: state.stats.forked_classes.load(Ordering::Relaxed),
-            pipeline_depth: pipeline.effective_depth(),
-            lookahead_hits: state.stats.lookahead_hits.load(Ordering::Relaxed),
-            lookahead_misses: state.stats.lookahead_misses.load(Ordering::Relaxed),
             checkpoints,
             checkpoint_time,
             delta_join_classes: state.stats.delta_join_classes.load(Ordering::Relaxed),
@@ -538,7 +494,7 @@ impl Engine {
 
     /// The order-independent digest of the live Gamma database (see
     /// [`crate::persist::gamma_digest`]). Equal logical states produce
-    /// equal digests across thread counts, pipeline depths and
+    /// equal digests across thread counts, pipelining on or off, and
     /// checkpoint/restore cycles — determinism and recovery checks are
     /// one `u64` comparison.
     pub fn content_hash(&self) -> u64 {

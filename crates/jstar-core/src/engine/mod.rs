@@ -18,116 +18,73 @@
 //! `T`'s tuples straight to Gamma and fires their rules immediately;
 //! `-noGamma T` skips storing `T`'s tuples (they act as pure triggers).
 //!
-//! ## The lookahead step machine
+//! ## The step machine
 //!
 //! The step loop (the `coordinator` module) is a four-phase state
-//! machine. [`EngineConfig::pipeline_depth`] selects how much of the
-//! *next* step's work rides inside the current step's execute phase:
-//! `0` is the strictly alternating loop, `1` (the default) overlaps the
-//! Delta merge with rule execution, and `≥ 2` adds the epoch **ring**
-//! and the **lookahead** — the next minimal class is extracted and
-//! planned speculatively while the current one runs:
+//! machine. While a forked class executes, the coordinator absorbs the
+//! tuples that class stages for later steps, so the next absorb finds
+//! only a small remainder ([`EngineConfig::pipelined`], on by default;
+//! off is the strictly alternating loop):
 //!
 //! ```text
 //!            workers: put → ShardedInbox (epoch E+1, binned by key prefix)
 //!                                │
 //!   ┌──── ABSORB ────┐   ┌─── EXTRACT ───┐   ┌─────────── EXECUTE ───────────┐
-//!   │ graft ring     │ → │ commit looka- │ → │ class chunks on the pool      │
-//!   │ epochs in      │   │ head hit, or  │   │  ∥ prepare: pop next class,   │
-//!   │ order, then    │   │ pop_min_class │   │    build its plan (depth ≥ 2) │
-//!   │ the remainder  │   └───────────────┘   │  ∥ overlap: close epochs into │
-//!   └────────────────┘                       │    the ring (≤ depth), builds │
-//!            ▲                               │    on the background lane,    │
-//!            │                               │    graft the completed ones — │
-//!            │                               │    each graft validates the   │
-//!            │                               │    prepared class and rolls   │
-//!            │                               │    it back if preempted       │
-//!            │                               └───────────────────────────────┘
+//!   │ swap the       │ → │ pop_min_class │ → │ class chunks on the pool      │
+//!   │ staged remain- │   └───────────────┘   │  ∥ overlap: each time the     │
+//!   │ der out, merge │                       │    swap point of tuples is    │
+//!   │ it             │                       │    staged, swap the epoch out │
+//!   └────────────────┘                       │    and merge it right away    │
+//!            ▲                               └───────────────────────────────┘
 //!            │                ┌── MAINTAIN ──┐                 │
 //!            └────────────────│ hints,       │◀────────────────┘
-//!                             │ compaction   │
+//!                             │ compaction,  │
+//!                             │ checkpoint   │
 //!                             └──────────────┘
 //! ```
 //!
-//! * **Absorb** (`pipeline::Pipeline::absorb`) — the coordinator grafts
-//!   every epoch still in the ring (oldest first), then swaps the
-//!   staged remainder out of the [`crate::delta::ShardedInbox`] and
-//!   merges it. With pipelining on, most of this already happened
-//!   during the previous execute phase and only a small remainder is
-//!   left here.
-//! * **Extract** — the unit of parallelism of the all-minimums
-//!   strategy. A speculation that survived every merge since it was
-//!   prepared ([`crate::delta::PreparedClass`]) **is** the minimal
-//!   class, with its plan already built: the fan-out launches
-//!   immediately and [`RunReport::lookahead_hits`] counts one.
-//!   Otherwise `pop_min_class` pays the extraction here. The extract
+//! * **Absorb** (`pipeline::Pipeline::absorb`) — the coordinator swaps
+//!   whatever is still staged out of the [`crate::delta::ShardedInbox`]
+//!   and merges it ([`crate::delta::DeltaQueue::merge_partitioned`]).
+//! * **Extract** — `pop_min_class` takes the minimal equivalence class,
+//!   the unit of parallelism of the all-minimums strategy. The extract
 //!   must reflect *every* tuple staged by earlier steps (a staged key
-//!   may order before the current minimum) — which is why absorb
-//!   completes first, and why every absorbed epoch is checked against
-//!   the prepared key.
+//!   may order before the current minimum), which is why absorb
+//!   completes first.
 //! * **Execute** (`schedule::Scheduler` decides the shape) — classes
 //!   at or below [`EngineConfig::inline_class_threshold`] run inline on
 //!   the coordinator; wider classes are chunked by measured width and
 //!   pool occupancy and submitted as one batch
 //!   ([`jstar_pool::Scope::spawn_batch`], a single wakeup). While a
 //!   forked class runs, the pipelined coordinator loops
-//!   (`pipeline::Pipeline::overlap`):
-//!   1. **prepare** (depth ≥ 2, `schedule::Lookahead`) — extract the
-//!      next minimal class and build its `ClassPlan` speculatively
-//!      (chunked for the idle pool the launch will actually see);
-//!   2. **close** — once the controller's swap point of staged tuples
-//!      accumulates, swap the epoch out
-//!      ([`crate::delta::ShardedInbox::swap_epoch`]) into the ring (at
-//!      most `pipeline_depth` in flight), its per-partition subtree
-//!      builds submitted on the pool's **background lane**
-//!      ([`jstar_pool::submit_background`]) so only otherwise-idle
-//!      workers build subtrees — class chunks always preempt them;
-//!   3. **invalidate/commit** — graft completed epochs in order; an
-//!      epoch whose minimal key orders at or below the prepared class
-//!      returns the speculation to the queue (canonical-set semantics
-//!      collapse any duplicates — [`RunReport::lookahead_misses`]
-//!      counts one) and the lookahead re-prepares from the updated
-//!      queue; an epoch ordering strictly after leaves it standing,
-//!      to be committed at the next extract.
-//!
-//!   Since the Delta structures are canonical sets keyed by position,
-//!   early-merged epochs and rolled-back speculations reproduce exactly
-//!   the state the step-boundary drain would have: the pop sequence —
-//!   and therefore the run — is bit-identical at every depth
-//!   (property-tested across depths 0/1/2/4 in
-//!   `tests/prop_engine.rs::lookahead_matches_alternating`).
+//!   (`pipeline::Pipeline::overlap`): once
+//!   `max(64, parallel_merge_threshold / 4)` tuples are staged it swaps
+//!   the epoch out ([`crate::delta::ShardedInbox::swap_epoch`]) and
+//!   merges it — on the pool when the pool has no queued class chunks,
+//!   on the coordinator otherwise — and in between it helps execute
+//!   queued chunks. Since the Delta structures are canonical sets
+//!   keyed by position, early-merged epochs reproduce exactly the state
+//!   the step-boundary drain would have: the pop sequence, and
+//!   therefore the run, is bit-identical with pipelining on or off
+//!   (property-tested in
+//!   `tests/prop_engine.rs::pipelined_matches_alternating`).
 //! * **Maintain** — the coordinator's single-threaded quiescent point:
-//!   tuple-lifetime hints run (§5 step 4), stores whose tombstone
-//!   fraction exceeds [`EngineConfig::compact_tombstones_above`] are
-//!   compacted ([`crate::gamma::TableStore::maybe_compact`]), and —
-//!   every [`EngineConfig::checkpoint_every`] steps — a checkpoint is
-//!   written atomically (the Delta queue is forced fully current
-//!   first; see [`crate::persist`] and [`Engine::restore_latest`]).
-//!
-//! The mid-step swap point is chosen per step by a feedback controller
-//! ([`EngineConfig::adaptive_overlap`], default on): it tracks recent
-//! epoch-absorb cost per staged tuple against the execute-window
-//! length and sizes batches so one absorb costs about a quarter of the
-//! window — falling back to the fixed
-//! `max(64, parallel_merge_threshold / 4)` trigger when disabled or
-//! before measurements exist.
+//!   tuple-lifetime hints run (§5 step 4), each at its own interval;
+//!   stores whose tombstone fraction exceeds
+//!   [`EngineConfig::compact_tombstones_above`] are compacted
+//!   ([`crate::gamma::TableStore::maybe_compact`]); and every
+//!   [`EngineConfig::checkpoint_every`] steps a checkpoint is written
+//!   atomically (the Delta queue is forced fully current first; see
+//!   [`crate::persist`] and [`Engine::restore_latest`]).
 //!
 //! **Reading the metrics.** Time spent on overlapped drain work is
 //! accounted separately ([`RunReport::overlap_time`],
 //! [`RunReport::overlap_fraction`]): it is hidden under the execute
 //! phase's wall clock instead of stalling the coordinator, so a rising
-//! overlap fraction means the pipeline is doing its job.
-//! [`RunReport::lookahead_hit_rate`] is the fraction of speculations
-//! that survived to launch; a persistently low rate (common on
-//! priority-queue workloads like Dijkstra, whose merges routinely
-//! order below the next class) means the speculation is churn — the
-//! lookahead pauses itself after a miss streak and re-probes
-//! periodically, but such workloads still do best at
-//! `pipeline_depth = 1`. Set `pipeline_depth = 0`
-//! when diagnosing the engine (strictly alternating phases are easier
-//! to reason about in a profile) or as the baseline arm of an A/B
-//! measurement; the effective (clamped) depth of a run is reported in
-//! [`RunReport::pipeline_depth`].
+//! overlap fraction means the pipeline is doing its job. Turn
+//! pipelining off when diagnosing the engine (strictly alternating
+//! phases are easier to reason about in a profile) or as the baseline
+//! arm of an A/B measurement.
 //!
 //! ## Execution modes: per-tuple vs batched delta-join
 //!
@@ -206,8 +163,8 @@
 //! 2. **Partitioned, overlapped parallel drain** — pool workers build
 //!    one independent subtree per key-prefix partition; the coordinator
 //!    grafts them, splicing disjoint subtrees wholesale. Under
-//!    pipelining the builds run on the background lane during the
-//!    previous class's execution.
+//!    pipelining most epochs are merged during the previous class's
+//!    execution.
 //! 3. **Reservation-based Gamma inserts** — the parallel store defaults
 //!    ([`crate::gamma::ConcurrentOrderedStore`],
 //!    [`crate::gamma::HashStore`]) publish tuples via CAS slot
@@ -225,8 +182,8 @@
 //!
 //! The module family: `config` (the paper's flags), `runtime` (the
 //! shared put/trigger core), `ctx` (the rule window onto the
-//! database), `schedule` (class execution planning and the lookahead),
-//! `pipeline` (the epoch ring and overlap controller), `report` (run
+//! database), `schedule` (class execution planning), `pipeline`
+//! (epoch absorption, serial and overlapped), `report` (run
 //! results), and `coordinator` (the step loop itself). The public API
 //! — [`Engine`], [`EngineConfig`], [`RuleCtx`], [`RunReport`],
 //! [`QueryPlan`], [`LifetimeHint`] — is re-exported here unchanged
@@ -242,7 +199,7 @@ mod schedule;
 #[cfg(test)]
 mod tests;
 
-pub use config::{EngineConfig, JoinStrategy, LifetimeHint, MAX_PIPELINE_DEPTH};
+pub use config::{EngineConfig, JoinStrategy, LifetimeHint};
 pub use coordinator::{Engine, RestoreOutcome};
 pub use ctx::RuleCtx;
 pub use report::RunReport;

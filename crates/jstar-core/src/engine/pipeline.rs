@@ -1,418 +1,160 @@
-//! The epoch ring: moving staged tuples into the Delta queue, either
-//! serially at the step boundary or overlapped with class execution —
-//! with up to [`super::EngineConfig::pipeline_depth`] closed epochs in
-//! flight at once.
+//! Epoch absorption: moving staged tuples into the Delta queue, either
+//! serially at the step boundary or overlapped with class execution.
 //!
 //! Tuples a step's workers `put` are staged in the
 //! [`crate::delta::ShardedInbox`], binned by key prefix at push time.
-//! Absorbing them is three phases: **close** (swap the staging epoch out
-//! of every shard — [`crate::delta::ShardedInbox::swap_epoch`]),
-//! **build** (one Delta subtree per partition, on the pool's
-//! **background lane** so only otherwise-idle workers touch them —
-//! [`crate::delta::EpochBuild`]), and **graft** (the coordinator merges
-//! the built subtrees in epoch order —
-//! [`crate::delta::DeltaQueue::absorb_epoch`]).
+//! Absorbing them is two phases: **swap** (take the staging epoch out
+//! of every shard — [`crate::delta::ShardedInbox::swap_epoch`]) and
+//! **merge** (one Delta subtree per partition built on the pool, then
+//! grafted by the coordinator — [`crate::delta::DeltaQueue::merge_partitioned`]).
 //!
-//! With `pipeline_depth` = 1 the ring holds one epoch: the coordinator
-//! closes it mid-step and grafts it immediately (blocking on its builds
-//! while helping execute queued work) — the PR 4 overlap. With depth
-//! ≥ 2 the coordinator keeps closing epochs while earlier builds are
-//! still in flight, grafting each the moment its builds complete; a
-//! straggling build never stalls the swap cadence, and at the step
-//! boundary most grafts are a splice of already-built subtrees. Depth
-//! ≥ 2 also arms the [`super::schedule::Lookahead`]: each absorbed
-//! epoch's minimal key is checked against the speculatively extracted
-//! next class.
+//! With [`super::EngineConfig::pipelined`] on, the coordinator also
+//! absorbs *while* a forked class executes: once
+//! `max(64, parallel_merge_threshold / 4)` tuples are staged it swaps
+//! the epoch out and merges it right away, so the step-boundary absorb
+//! finds only a small remainder. A near-empty swap would be a mutex
+//! round over every shard for nothing, hence the swap point.
 //!
 //! The Law of Causality guarantees staged tuples never belong to the
 //! *current* step, and the Delta structures are canonical sets keyed by
 //! position — so absorbing epochs early (in any interleaving with
 //! execution) produces exactly the queue state the step-boundary drain
-//! would have, and the pop sequence is unchanged at every depth.
-//!
-//! ## The overlap controller
-//!
-//! A mid-step epoch swap only pays once enough tuples are staged (a
-//! near-empty swap is a mutex round over every shard for nothing). The
-//! swap point is chosen per step by [`OverlapController`]: with
-//! [`super::EngineConfig::adaptive_overlap`] (default on) it tracks an
-//! EWMA of the coordinator-side absorb cost per staged tuple and of the
-//! execute-window length, and sizes the batch so one absorb costs about
-//! a quarter of the window — big enough to amortise the swap, small
-//! enough that the final absorb does not spill past the join. With the
-//! flag off (or before any measurements exist) the fixed
-//! `max(64, parallel_merge_threshold / 4)` trigger of the pre-feedback
-//! engine applies.
+//! would have, and the pop sequence is unchanged.
 
-use crate::delta::{DeltaQueue, EpochBuild};
+use crate::delta::DeltaQueue;
+use jstar_check::sync::{AtomicU64, Ordering};
 use jstar_pool::{Scope, ThreadPool};
-use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use super::config::{EngineConfig, MAX_PIPELINE_DEPTH};
+use super::config::EngineConfig;
 use super::runtime::RunState;
-use super::schedule::{Lookahead, Scheduler};
 use crate::orderby::OrderKey;
 use crate::tuple::Tuple;
 
-/// How many overlapped absorbs the adaptive controller aims to fit in
-/// one execute window.
-const TARGET_OVERLAP_ROUNDS: f64 = 4.0;
-/// EWMA smoothing factor for the controller's two signals.
-const EWMA_ALPHA: f64 = 0.3;
-/// Bounds on the adaptive swap point, in staged tuples.
+/// The smallest mid-step swap point, in staged tuples.
 const MIN_SWAP_POINT: usize = 64;
-const MAX_SWAP_POINT: usize = 1 << 16;
 
-/// Feedback-driven sizing of the overlapped absorb batches (the
-/// "adaptive overlap batch size" of the module docs).
-pub(super) struct OverlapController {
-    adaptive: bool,
-    /// The pre-feedback trigger, also the fallback before measurements.
-    fixed: usize,
-    /// EWMA of coordinator-side absorb nanoseconds per staged tuple;
-    /// 0.0 until the first measurement.
-    absorb_ns_per_tuple: f64,
-    /// EWMA of the forked-class execute window in nanoseconds; 0.0
-    /// until the first window closes.
-    window_ns: f64,
-    swap_point: usize,
+/// Adds `d` to a nanosecond phase timer.
+fn add_nanos(timer: &AtomicU64, d: Duration) {
+    // ord: Relaxed — a profiling accumulator, read only after the run
+    // has joined every thread.
+    timer.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
 }
 
-impl OverlapController {
-    fn new(adaptive: bool, merge_threshold: usize) -> OverlapController {
-        let fixed = (merge_threshold / 4).max(MIN_SWAP_POINT);
-        OverlapController {
-            adaptive,
-            fixed,
-            absorb_ns_per_tuple: 0.0,
-            window_ns: 0.0,
-            swap_point: fixed,
-        }
-    }
-
-    /// The number of staged tuples at which the next mid-step epoch
-    /// swap triggers.
-    fn swap_point(&self) -> usize {
-        self.swap_point
-    }
-
-    /// True when the controller wants absorb/window timings even though
-    /// the stats timers are off.
-    fn needs_clock(&self) -> bool {
-        self.adaptive
-    }
-
-    /// Feeds one absorbed epoch: `staged` tuples took `dur` of
-    /// coordinator time (swap + graft, plus build wait if the epoch was
-    /// not ready).
-    fn record_absorb(&mut self, staged: usize, dur: Duration) {
-        if !self.adaptive || staged == 0 {
-            return;
-        }
-        let per = dur.as_nanos() as f64 / staged as f64;
-        self.absorb_ns_per_tuple = ewma(self.absorb_ns_per_tuple, per);
-    }
-
-    /// Feeds one closed execute window and recomputes the swap point
-    /// for the next step.
-    fn record_window(&mut self, dur: Duration) {
-        if !self.adaptive {
-            return;
-        }
-        self.window_ns = ewma(self.window_ns, dur.as_nanos() as f64);
-        if self.absorb_ns_per_tuple > 0.0 && self.window_ns > 0.0 {
-            let batch = self.window_ns / TARGET_OVERLAP_ROUNDS / self.absorb_ns_per_tuple;
-            self.swap_point = (batch as usize).clamp(MIN_SWAP_POINT, MAX_SWAP_POINT);
-        } else {
-            self.swap_point = self.fixed;
-        }
-    }
-}
-
-fn ewma(prev: f64, sample: f64) -> f64 {
-    if prev == 0.0 {
-        sample
-    } else {
-        prev + EWMA_ALPHA * (sample - prev)
-    }
-}
-
-/// Reusable absorption state: the epoch ring, the recycled
-/// per-partition run buffers, the per-table insert counters (flushed as
-/// **one** stats update per touched table per epoch) and the overlap
-/// controller.
+/// Reusable absorption state: the per-partition run buffers (recycled
+/// across epochs so staging allocations survive the round trip) and
+/// the per-table insert counters (flushed as **one** stats update per
+/// touched table per epoch).
 pub(super) struct Pipeline {
-    /// Closed epochs in flight, oldest first; absorbed strictly in
-    /// order. Never longer than `depth`.
-    ring: VecDeque<EpochBuild>,
-    /// Spare run-buffer sets, recycled through the ring so staging
-    /// allocations survive the round trip.
-    spare: Vec<Vec<Vec<(OrderKey, Tuple)>>>,
+    runs: Vec<Vec<(OrderKey, Tuple)>>,
     inserted_by_table: Vec<u64>,
     merge_threshold: usize,
-    depth: usize,
-    /// Sequence number of the most recently *closed* epoch.
-    epoch_seq: u64,
-    /// Sequence number of the most recently *absorbed* epoch — the
-    /// [`crate::delta::PreparedClass::epoch_mark`] a speculation
-    /// prepared now can truthfully carry (every epoch up to and
-    /// including it is reflected in the queue; later ones validate on
-    /// absorb).
-    absorbed_seq: u64,
-    controller: OverlapController,
-    partitions: usize,
+    /// Staged tuples at which a mid-step swap triggers.
+    swap_point: usize,
+    pipelined: bool,
     timing: bool,
 }
 
 impl Pipeline {
     pub(super) fn new(state: &RunState, config: &EngineConfig) -> Pipeline {
         let merge_threshold = config.parallel_merge_threshold;
-        let depth = if config.sequential {
-            0
-        } else {
-            config.pipeline_depth.min(MAX_PIPELINE_DEPTH)
-        };
         Pipeline {
-            ring: VecDeque::with_capacity(depth),
-            spare: vec![(0..state.inbox.partitions()).map(|_| Vec::new()).collect()],
+            runs: (0..state.inbox.partitions()).map(|_| Vec::new()).collect(),
             inserted_by_table: vec![0; state.program.defs().len()],
             merge_threshold,
-            depth,
-            epoch_seq: 0,
-            absorbed_seq: 0,
-            controller: OverlapController::new(config.adaptive_overlap, merge_threshold),
-            partitions: state.inbox.partitions(),
+            swap_point: (merge_threshold / 4).max(MIN_SWAP_POINT),
+            pipelined: config.pipelined && !config.sequential,
             timing: config.record_steps,
         }
     }
 
     /// True when the drain/execute overlap is active.
     pub(super) fn pipelined(&self) -> bool {
-        self.depth > 0
+        self.pipelined
     }
 
-    /// True when the lookahead machine is armed (depth ≥ 2).
-    pub(super) fn lookahead_enabled(&self) -> bool {
-        self.depth >= 2
+    /// Swaps the staging epoch out of every shard into the run
+    /// buffers; false when nothing was staged.
+    fn swap(&mut self, state: &RunState) -> bool {
+        state.inbox.swap_epoch(&mut self.runs) > 0
     }
 
-    /// The clamped depth the run actually executes with (0 in
-    /// sequential mode) — reported in
-    /// [`super::RunReport::pipeline_depth`].
-    pub(super) fn effective_depth(&self) -> usize {
-        self.depth
-    }
-
-    /// The sequence number of the most recently absorbed epoch — the
-    /// [`crate::delta::PreparedClass::epoch_mark`] a speculation
-    /// prepared now should carry.
-    pub(super) fn absorbed_seq(&self) -> u64 {
-        self.absorbed_seq
-    }
-
-    fn take_buffers(&mut self) -> Vec<Vec<(OrderKey, Tuple)>> {
-        self.spare
-            .pop()
-            .unwrap_or_else(|| (0..self.partitions).map(|_| Vec::new()).collect())
-    }
-
-    /// Closes the current staging epoch into the ring. Returns false
-    /// (and recycles the buffers) when nothing was staged.
-    fn close_epoch(
-        &mut self,
-        state: &RunState,
-        tree: &DeltaQueue,
-        build_pool: Option<&ThreadPool>,
-    ) -> bool {
-        let mut runs = self.take_buffers();
-        if state.inbox.swap_epoch(&mut runs) == 0 {
-            self.spare.push(runs);
-            return false;
-        }
-        self.epoch_seq += 1;
-        self.ring.push_back(EpochBuild::start(
-            tree.kind(),
-            self.epoch_seq,
-            runs,
-            build_pool,
-            self.inserted_by_table.len(),
+    /// Merges the swapped runs into the queue (emptying them, their
+    /// allocations kept) and publishes the per-table insert counts.
+    fn merge(&mut self, state: &RunState, tree: &mut DeltaQueue, pool: Option<&ThreadPool>) {
+        tree.merge_partitioned(
+            &mut self.runs,
+            pool,
+            &mut self.inserted_by_table,
             self.merge_threshold,
-        ));
-        true
-    }
-
-    /// Grafts one epoch into the queue (joining its builds if still in
-    /// flight — helping the pool meanwhile), validates the lookahead
-    /// against its minimal key, and recycles the buffers. Returns the
-    /// coordinator time spent.
-    ///
-    /// `clean_timing` marks a duration that measures only absorb work:
-    /// a blocking join on a *not-ready* epoch executes queued foreground
-    /// class chunks while it waits, so its duration would poison the
-    /// controller's absorb-cost EWMA — such absorbs pass false and are
-    /// excluded from the feedback signal.
-    fn absorb_one(
-        &mut self,
-        epoch: EpochBuild,
-        state: &RunState,
-        tree: &mut DeltaQueue,
-        pool: Option<&ThreadPool>,
-        lookahead: &mut Lookahead,
-        clean_timing: bool,
-    ) -> Option<Duration> {
-        let t0 = (self.timing || self.controller.needs_clock()).then(Instant::now);
-        let staged = epoch.staged();
-        self.absorbed_seq = epoch.seq();
-        let absorbed = tree.absorb_epoch(epoch, pool, &mut self.inserted_by_table);
-        self.flush_counts(state);
-        lookahead.validate(
-            self.absorbed_seq,
-            absorbed.min_key.as_ref(),
-            tree,
-            &state.stats,
         );
-        self.spare.push(absorbed.buffers);
-        let elapsed = t0.map(|t| t.elapsed());
-        if clean_timing {
-            if let Some(d) = elapsed {
-                self.controller.record_absorb(staged, d);
+        for (ti, count) in self.inserted_by_table.iter_mut().enumerate() {
+            if *count > 0 {
+                // ord: Relaxed — a statistics counter, read after the run.
+                state.stats.tables[ti]
+                    .delta_inserts
+                    .fetch_add(*count, Ordering::Relaxed);
+                *count = 0;
             }
         }
-        elapsed
     }
 
-    /// Serial absorb at the step boundary (the **absorb** phase):
-    /// drains the ring in order, then whatever is still staged —
-    /// everything, when pipelining is off; the sub-swap-point remainder
-    /// otherwise — so the following extract sees every tuple put by
-    /// earlier steps.
+    /// Serial absorb at the step boundary (the **absorb** phase): merges
+    /// whatever is still staged — everything, when pipelining is off;
+    /// the sub-swap-point remainder otherwise — so the following extract
+    /// sees every tuple put by earlier steps. The swap is exact here:
+    /// the scope join ordered every worker push before this read.
     pub(super) fn absorb(
         &mut self,
         state: &RunState,
         tree: &mut DeltaQueue,
         pool: Option<&ThreadPool>,
-        lookahead: &mut Lookahead,
     ) {
-        // In-flight epochs from the previous execute window, in order.
-        // Clean timing: the class has joined, so nothing foreign rides
-        // inside the join.
-        while let Some(epoch) = self.ring.pop_front() {
-            let spent = self.absorb_one(epoch, state, tree, pool, lookahead, true);
-            if self.timing {
-                if let Some(d) = spent {
-                    let nanos = d.as_nanos() as u64;
-                    state.stats.merge_nanos.fetch_add(nanos, Ordering::Relaxed);
-                    state.stats.drain_nanos.fetch_add(nanos, Ordering::Relaxed);
-                }
-            }
-        }
         if state.inbox.is_empty() {
             return;
         }
-
-        // The staged remainder: one final epoch, closed (into the
-        // just-drained ring) and absorbed here. `swap_epoch` is exact
-        // at the boundary — the scope join ordered every worker push
-        // before this read.
-        let partition_start = self.timing.then(Instant::now);
-        let closed = self.close_epoch(state, tree, pool);
-        let partition_elapsed = partition_start.map(|t0| t0.elapsed());
-        if !closed {
+        let t0 = self.timing.then(Instant::now);
+        if !self.swap(state) {
             return;
         }
-        let merge_start = self.timing.then(Instant::now);
-        // lint: allow(expect): the early-return above guarantees a queued epoch.
-        let epoch = self.ring.pop_front().expect("epoch closed above");
-        self.absorb_one(epoch, state, tree, pool, lookahead, true);
-        let merge_elapsed = merge_start.map(|t0| t0.elapsed());
-
-        if let (Some(p), Some(m)) = (partition_elapsed, merge_elapsed) {
-            state
-                .stats
-                .partition_nanos
-                .fetch_add(p.as_nanos() as u64, Ordering::Relaxed);
-            state
-                .stats
-                .merge_nanos
-                .fetch_add(m.as_nanos() as u64, Ordering::Relaxed);
-            state
-                .stats
-                .drain_nanos
-                .fetch_add((p + m).as_nanos() as u64, Ordering::Relaxed);
+        let t1 = self.timing.then(Instant::now);
+        self.merge(state, tree, pool);
+        if let (Some(t0), Some(t1)) = (t0, t1) {
+            let (swap, merge) = (t1 - t0, t1.elapsed());
+            add_nanos(&state.stats.partition_nanos, swap);
+            add_nanos(&state.stats.merge_nanos, merge);
+            add_nanos(&state.stats.drain_nanos, swap + merge);
         }
     }
 
     /// Overlapped absorb (the pipelined half of the **execute** phase):
-    /// runs on the coordinator inside the class's fork/join scope.
-    /// Cycles through (a) closing staged epochs into the ring once they
-    /// reach the controller's swap point, (b) grafting epochs whose
-    /// background builds have completed — blocking on the oldest when
-    /// the ring is full — and (c) helping execute queued pool work,
-    /// until every spawned chunk of the class has finished. With the
-    /// lookahead armed, an invalidated speculation is re-prepared right
-    /// after the absorb that killed it.
-    #[allow(clippy::too_many_arguments)]
+    /// runs on the coordinator inside the class's fork/join scope,
+    /// absorbing each epoch that reaches the swap point and otherwise
+    /// helping execute queued pool work, until every spawned chunk of
+    /// the class has finished.
     pub(super) fn overlap(
         &mut self,
         scope: &Scope<'_>,
         state: &RunState,
         tree: &mut DeltaQueue,
         pool: &ThreadPool,
-        lookahead: &mut Lookahead,
-        scheduler: &Scheduler,
     ) {
-        let window_start = self.controller.needs_clock().then(Instant::now);
         loop {
             let mut progressed = false;
-            if self.ring.len() < self.depth && state.inbox.len() >= self.controller.swap_point() {
-                // At depth 1 the graft follows immediately, so a busy
-                // pool gains nothing from parallel builds — the
-                // sequential insert loop on the otherwise-waiting
-                // coordinator *is* the overlap (and it keeps execute
-                // help out of the overlap timer). Deeper rings never
-                // block here, so background builds always pay.
-                let build_pool = if self.depth >= 2 || pool.pending_jobs() == 0 {
-                    Some(pool)
-                } else {
-                    None
-                };
+            if state.inbox.len() >= self.swap_point {
+                // A busy pool gains nothing from parallel subtree
+                // builds: the sequential insert loop on the otherwise
+                // waiting coordinator *is* the overlap (and it keeps
+                // execute help out of the overlap timer).
+                let merge_pool = (pool.pending_jobs() == 0).then_some(pool);
                 let t0 = self.timing.then(Instant::now);
-                progressed |= self.close_epoch(state, tree, build_pool);
+                if self.swap(state) {
+                    self.merge(state, tree, merge_pool);
+                    progressed = true;
+                }
                 if let Some(t0) = t0 {
-                    state
-                        .stats
-                        .overlap_nanos
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    add_nanos(&state.stats.overlap_nanos, t0.elapsed());
                 }
-            }
-            // Graft whatever the background lane has finished, oldest
-            // first; when the ring is full, block on the oldest to keep
-            // the swap cadence (the join helps execute class chunks —
-            // such forced absorbs are excluded from the controller's
-            // absorb-cost signal, and the help share they bill to the
-            // overlap timer is the caveat noted on
-            // [`super::RunReport::overlap_time`]).
-            while self
-                .ring
-                .front()
-                .is_some_and(|e| e.is_ready() || self.ring.len() >= self.depth)
-            {
-                let ready = self.ring.front().is_some_and(|e| e.is_ready());
-                // lint: allow(expect): the while-let condition proved front() is Some.
-                let epoch = self.ring.pop_front().expect("front checked");
-                let spent = self.absorb_one(epoch, state, tree, Some(pool), lookahead, ready);
-                if self.timing {
-                    if let Some(d) = spent {
-                        state
-                            .stats
-                            .overlap_nanos
-                            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-                    }
-                }
-                lookahead.prepare(tree, scheduler, Some(pool), self.absorbed_seq);
-                progressed = true;
             }
             if scope.completed() {
                 break;
@@ -422,22 +164,6 @@ impl Pipeline {
                 // are all running on workers. Park briefly; a finishing
                 // chunk (or fresh staging) ends the wait.
                 scope.wait_timeout(Duration::from_micros(200));
-            }
-        }
-        if let Some(t0) = window_start {
-            self.controller.record_window(t0.elapsed());
-        }
-    }
-
-    /// Publishes the epoch's per-table Delta-insert counts — one atomic
-    /// update per touched table, not one per tuple.
-    fn flush_counts(&mut self, state: &RunState) {
-        for (ti, count) in self.inserted_by_table.iter_mut().enumerate() {
-            if *count > 0 {
-                state.stats.tables[ti]
-                    .delta_inserts
-                    .fetch_add(*count, Ordering::Relaxed);
-                *count = 0;
             }
         }
     }

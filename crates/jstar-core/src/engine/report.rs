@@ -29,17 +29,11 @@ pub struct RunReport {
     /// sequential fallback). Zero unless
     /// [`super::EngineConfig::record_steps`] is set.
     pub merge_time: Duration,
-    /// Drain work (epoch swaps + background-lane merges) performed by
-    /// the pipelined coordinator **while a class was executing** — time
-    /// hidden under [`RunReport::execute_time`]'s wall clock instead of
-    /// stalling the step loop. Zero when
-    /// [`super::EngineConfig::pipeline_depth`] is 0, and zero unless
-    /// [`super::EngineConfig::record_steps`] is set. Caveat at depths
-    /// ≥ 2: when the epoch ring is full the coordinator blocks on the
-    /// oldest epoch's builds and helps execute class chunks while it
-    /// waits, so a small share of this timer can be execute help
-    /// rather than drain work (such absorbs are excluded from the
-    /// adaptive controller's feedback signal for the same reason).
+    /// Drain work (epoch swaps + merges) performed by the pipelined
+    /// coordinator **while a class was executing** — time hidden under
+    /// [`RunReport::execute_time`]'s wall clock instead of stalling the
+    /// step loop. Zero when [`super::EngineConfig::pipelined`] is off,
+    /// and zero unless [`super::EngineConfig::record_steps`] is set.
     pub overlap_time: Duration,
     /// Time spent executing equivalence classes (Gamma inserts + rules).
     /// Zero unless [`super::EngineConfig::record_steps`] is set.
@@ -48,27 +42,6 @@ pub struct RunReport {
     pub inline_classes: u64,
     /// Classes fanned out to the fork/join pool.
     pub forked_classes: u64,
-    /// The **effective** pipeline depth the run executed with:
-    /// [`super::EngineConfig::pipeline_depth`] clamped to
-    /// [`super::MAX_PIPELINE_DEPTH`], and 0 in sequential mode. A
-    /// configured depth the engine cannot honour is visible here
-    /// instead of being silently downgraded.
-    pub pipeline_depth: usize,
-    /// Steps that started from a pre-extracted class: the lookahead
-    /// machine (`pipeline_depth ≥ 2`) popped the next minimal class and
-    /// built its execution plan during the *previous* step's execution,
-    /// and no later epoch merge ordered at or below it — the extract
-    /// phase cost nothing on the critical path.
-    pub lookahead_hits: u64,
-    /// Speculative extractions rolled back because a merged epoch's
-    /// minimum ordered at or below the prepared class (its tuples were
-    /// returned to the Delta queue; the step then popped normally). A
-    /// miss costs roughly one extra insert+extract of the class; after
-    /// a streak of consecutive misses the lookahead pauses itself and
-    /// only probes the workload periodically, so a persistently
-    /// adversarial workload pays the churn on a small fraction of
-    /// steps rather than all of them.
-    pub lookahead_misses: u64,
     /// Checkpoints written during the run (see
     /// [`super::EngineConfig::checkpoint`]).
     pub checkpoints: u64,
@@ -171,20 +144,6 @@ impl RunReport {
     pub fn per_step(&self) -> (Duration, Duration) {
         let steps = self.steps.max(1) as u32;
         (self.drain_time / steps, self.execute_time / steps)
-    }
-
-    /// Fraction of speculative extractions that survived to execution:
-    /// `hits / (hits + misses)`. 0.0 when the lookahead never engaged
-    /// (`pipeline_depth < 2`, or no forked class opened a window).
-    /// Approaching 1.0 means step N+1's fan-out almost always launched
-    /// the instant step N joined.
-    pub fn lookahead_hit_rate(&self) -> f64 {
-        let total = self.lookahead_hits + self.lookahead_misses;
-        if total > 0 {
-            self.lookahead_hits as f64 / total as f64
-        } else {
-            0.0
-        }
     }
 
     /// Fraction of cursor opens served from the index cache:

@@ -77,7 +77,7 @@ fn parallel_and_sequential_agree() {
 }
 
 #[test]
-fn pipeline_depths_agree() {
+fn pipelined_and_alternating_agree() {
     // The pipelined coordinator must be observationally identical to the
     // alternating loop (the prop tests in tests/prop_engine.rs cover
     // random programs; this is the smoke check).
@@ -85,13 +85,13 @@ fn pipeline_depths_agree() {
     let ship = prog.table_id("Ship").unwrap();
     let mut off = Engine::new(
         Arc::clone(&prog),
-        EngineConfig::parallel(4).pipeline_depth(0),
+        EngineConfig::parallel(4).pipelined(false),
     );
     let off_report = off.run().unwrap();
     let mut on = Engine::new(
         Arc::clone(&prog),
         EngineConfig::parallel(4)
-            .pipeline_depth(1)
+            .pipelined(true)
             .inline_classes_up_to(0)
             .parallel_merge_from(1),
     );
@@ -110,86 +110,11 @@ fn unpipelined_runs_report_zero_overlap() {
     let prog = ship_program();
     let mut eng = Engine::new(
         Arc::clone(&prog),
-        EngineConfig::parallel(2).pipeline_depth(0).record_steps(),
+        EngineConfig::parallel(2).pipelined(false).record_steps(),
     );
     let report = eng.run().unwrap();
     assert_eq!(report.overlap_time, std::time::Duration::ZERO);
     assert_eq!(report.overlap_fraction(), 0.0);
-}
-
-#[test]
-fn pipeline_depth_is_clamped_and_reported() {
-    // A configured depth the ring cannot honour is clamped to
-    // MAX_PIPELINE_DEPTH and the *effective* depth lands in the report
-    // — the config lie is visible instead of silently downgraded.
-    let prog = ship_program();
-    for (configured, effective) in [
-        (0usize, 0usize),
-        (1, 1),
-        (4, 4),
-        (MAX_PIPELINE_DEPTH, MAX_PIPELINE_DEPTH),
-        (MAX_PIPELINE_DEPTH + 1, MAX_PIPELINE_DEPTH),
-        (usize::MAX, MAX_PIPELINE_DEPTH),
-    ] {
-        let mut eng = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(2).pipeline_depth(configured),
-        );
-        let report = eng.run().unwrap();
-        assert_eq!(
-            report.pipeline_depth, effective,
-            "configured {configured} must run at {effective}"
-        );
-    }
-    // Sequential mode has no pipeline regardless of the setting.
-    let mut eng = Engine::new(Arc::clone(&prog), {
-        let mut c = EngineConfig::sequential();
-        c.pipeline_depth = 4;
-        c
-    });
-    assert_eq!(eng.run().unwrap().pipeline_depth, 0);
-}
-
-#[test]
-fn lookahead_stays_disarmed_below_depth_two() {
-    let prog = ship_program();
-    for depth in [0usize, 1] {
-        let mut eng = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(4)
-                .pipeline_depth(depth)
-                .inline_classes_up_to(0)
-                .parallel_merge_from(1),
-        );
-        let report = eng.run().unwrap();
-        assert_eq!(report.lookahead_hits, 0, "depth {depth}");
-        assert_eq!(report.lookahead_misses, 0, "depth {depth}");
-        assert_eq!(report.lookahead_hit_rate(), 0.0, "depth {depth}");
-    }
-}
-
-#[test]
-fn adaptive_overlap_toggle_produces_identical_results() {
-    let prog = ship_program();
-    let ship = prog.table_id("Ship").unwrap();
-    let mut reference: Option<Vec<Tuple>> = None;
-    for adaptive in [true, false] {
-        let mut eng = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(4)
-                .pipeline_depth(2)
-                .adaptive_overlap(adaptive)
-                .inline_classes_up_to(0)
-                .parallel_merge_from(1),
-        );
-        eng.run().unwrap();
-        let mut got = eng.gamma().collect(&Query::on(ship));
-        got.sort();
-        match &reference {
-            None => reference = Some(got),
-            Some(want) => assert_eq!(&got, want, "controller choice must be unobservable"),
-        }
-    }
 }
 
 #[test]
@@ -370,6 +295,43 @@ fn lifetime_hints_discard_old_tuples() {
     let left = eng.gamma().collect(&Query::on(ship));
     assert!(left.len() < 4, "hints discarded early frames: {left:?}");
     assert!(left.iter().all(|t| t.int(0) >= 2));
+}
+
+#[test]
+fn lifetime_hints_keep_their_own_intervals() {
+    // Two tables advancing one tuple per value, each hinted with a hook
+    // that drops everything: table A every step, table B every 10
+    // steps. A is therefore empty after the last step, while B still
+    // holds what arrived since its last hint run (the step count is not
+    // a multiple of 10).
+    let mut p = ProgramBuilder::new();
+    let a = p.table("A", |b| b.col_int("i").orderby(&[seq("i")]));
+    let b = p.table("B", |b| b.col_int("i").orderby(&[seq("i")]));
+    for t in [a, b] {
+        p.rule("advance", t, move |ctx, tr| {
+            if tr.int(0) < 25 {
+                ctx.put(Tuple::new(t, vec![Value::Int(tr.int(0) + 1)]));
+            }
+        });
+        p.put(Tuple::new(t, vec![Value::Int(0)]));
+    }
+    let prog = Arc::new(p.build().unwrap());
+    let config = EngineConfig::sequential()
+        .lifetime_hint(a, 1, |_| false)
+        .lifetime_hint(b, 10, |_| false);
+    let mut eng = Engine::new(Arc::clone(&prog), config);
+    let report = eng.run().unwrap();
+    assert_ne!(report.steps % 10, 0, "B's backlog needs a partial interval");
+    let left_a = eng.gamma().collect(&Query::on(a));
+    assert!(
+        left_a.is_empty(),
+        "interval-1 hint must run every step: {left_a:?}"
+    );
+    let left_b = eng.gamma().collect(&Query::on(b));
+    assert!(
+        !left_b.is_empty(),
+        "interval-10 hint must not run every step"
+    );
 }
 
 #[test]

@@ -386,7 +386,7 @@ impl Gamma {
     }
 
     /// Catches up every cached column view of `table` — the body of one
-    /// eager-refresh job (see [`IndexCache::refresh`]).
+    /// eager-refresh job (see `IndexCache::refresh`).
     pub fn refresh_indexes(&self, table: TableId) {
         self.index_cache
             .refresh(table.index(), self.stores[table.index()].as_ref());

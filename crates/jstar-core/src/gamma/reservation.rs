@@ -678,7 +678,7 @@ impl ReservationTable {
     /// through it) overlaps the misses with the current tuple's
     /// encode work.
     pub fn for_each_journal_range(&self, lo: usize, hi: usize, f: &mut dyn FnMut(&Tuple)) {
-        // Lookahead distances: tag/payload cells first, then the
+        // Prefetch distances: tag/payload cells first, then the
         // tuple's heap block, then its field slice.
         const PF_SLOT: usize = 32;
         const PF_TUPLE: usize = 16;

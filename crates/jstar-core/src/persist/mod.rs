@@ -45,8 +45,7 @@
 //! set [`crate::engine::EngineConfig::checkpoint`] with a directory
 //! and a step interval. Every `checkpoint_every` steps the coordinator
 //! absorbs all staged tuples (reaching a fully quiescent Delta
-//! queue), flushes any lookahead speculation back, and writes
-//! `ckpt-<seq>.jsnap` atomically, keeping the newest
+//! queue) and writes `ckpt-<seq>.jsnap` atomically, keeping the newest
 //! [`crate::engine::EngineConfig::checkpoint_keep`] files.
 //!
 //! Guidance:

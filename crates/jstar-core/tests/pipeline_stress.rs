@@ -1,8 +1,6 @@
 //! Stress tests for the pipelined coordinator's epoch machinery: 8
-//! worker threads staging at full rate while the coordinator closes
-//! epochs mid-execution, rides their subtree builds on the background
-//! lane, and (at depth ≥ 2) speculatively extracts the next class and
-//! rolls it back under adversarial merges.
+//! worker threads staging at full rate while the coordinator swaps
+//! epochs out mid-execution and merges them into the Delta queue.
 //!
 //! The determinism *properties* live in `prop_engine.rs`; these tests
 //! hammer one adversarial configuration — every class forked
@@ -66,7 +64,7 @@ fn eight_thread_epoch_swap_stress() {
         let mut eng = Engine::new(
             Arc::clone(&prog),
             EngineConfig::parallel(8)
-                .pipeline_depth(1)
+                .pipelined(true)
                 .inline_classes_up_to(0)
                 .parallel_merge_from(1),
         );
@@ -87,16 +85,13 @@ fn eight_thread_epoch_swap_stress() {
     }
 }
 
-/// A two-horizon fan-out built to ambush the lookahead: every `(t, v)`
-/// tuple puts `fanout` tuples at `t + 2` (wide far classes) and, for a
-/// third of values, one tuple at `t + 1` (a sparse near class). The
-/// class prepared at a step's window start is therefore the `t + 1` or
-/// `t + 2` class, and the step's own staging always includes keys at or
-/// below it — every non-final forked step deterministically invalidates
-/// its speculation at *some* absorb (mid-window or at the boundary),
-/// whatever the thread interleaving. Staging is pure puts (no queries),
-/// so the pop schedule itself is deterministic and comparable across
-/// configurations.
+/// A two-horizon fan-out: every `(t, v)` tuple puts `fanout` tuples at
+/// `t + 2` (wide far classes) and, for a third of values, one tuple at
+/// `t + 1` (a sparse near class). Each step therefore stages keys both
+/// below and at the classes already queued, so every mid-step merge
+/// lands in front of, or inside, the next class to be extracted.
+/// Staging is pure puts (no queries), so the pop schedule itself is
+/// deterministic and comparable across configurations.
 fn ambush_program(fanout: i64, modp: i64, horizon: i64, seeds: i64) -> Arc<Program> {
     let mut p = ProgramBuilder::new();
     let t = p.table("T", |b| {
@@ -128,7 +123,7 @@ fn ambush_program(fanout: i64, modp: i64, horizon: i64, seeds: i64) -> Arc<Progr
 }
 
 #[test]
-fn eight_thread_lookahead_invalidation_stress() {
+fn eight_thread_two_horizon_stress() {
     let prog = ambush_program(6, 400, 40, 4);
     let table = prog.table_id("T").unwrap();
 
@@ -137,45 +132,30 @@ fn eight_thread_lookahead_invalidation_stress() {
     let want = canonical(&seq_eng, table);
     assert!(want.len() > 1000, "the stress load must be non-trivial");
 
-    // Repeated runs at both lookahead depths: the speculation /
-    // invalidation interleavings differ every time; the pop schedule
-    // and fixpoint must not.
+    // Repeated runs: the merge interleavings differ every time; the pop
+    // schedule and fixpoint must not.
     for round in 0..3 {
-        for depth in [2usize, 4] {
-            let mut eng = Engine::new(
-                Arc::clone(&prog),
-                EngineConfig::parallel(8)
-                    .pipeline_depth(depth)
-                    .inline_classes_up_to(0)
-                    .parallel_merge_from(1),
-            );
-            let report = eng.run().unwrap();
-            assert_eq!(report.pipeline_depth, depth);
-            assert_eq!(
-                canonical(&eng, table),
-                want,
-                "round {round} depth {depth}: gamma diverged from sequential"
-            );
-            assert_eq!(
-                report.tuples_processed, seq_report.tuples_processed,
-                "round {round} depth {depth}: tuple counts diverged"
-            );
-            assert_eq!(
-                report.steps, seq_report.steps,
-                "round {round} depth {depth}: pop schedule diverged"
-            );
-            assert!(
-                report.lookahead_hits + report.lookahead_misses > 0,
-                "round {round} depth {depth}: the lookahead never engaged"
-            );
-            // Every non-final forked step stages keys at or below its
-            // window-start speculation, so invalidations are a
-            // certainty of the program shape, not of thread timing.
-            assert!(
-                report.lookahead_misses > 0,
-                "round {round} depth {depth}: the ambush produced no invalidations"
-            );
-        }
+        let mut eng = Engine::new(
+            Arc::clone(&prog),
+            EngineConfig::parallel(8)
+                .pipelined(true)
+                .inline_classes_up_to(0)
+                .parallel_merge_from(1),
+        );
+        let report = eng.run().unwrap();
+        assert_eq!(
+            canonical(&eng, table),
+            want,
+            "round {round}: gamma diverged from sequential"
+        );
+        assert_eq!(
+            report.tuples_processed, seq_report.tuples_processed,
+            "round {round}: tuple counts diverged"
+        );
+        assert_eq!(
+            report.steps, seq_report.steps,
+            "round {round}: pop schedule diverged"
+        );
     }
 }
 
@@ -185,11 +165,11 @@ fn pipelined_run_accounts_overlap_consistently() {
     // drain = partition + merge, and overlap only ever accrues when
     // pipelining is on.
     let prog = fanout_program(6, 400, 30, 4);
-    for depth in [0usize, 1] {
+    for pipelined in [false, true] {
         let mut eng = Engine::new(
             Arc::clone(&prog),
             EngineConfig::parallel(8)
-                .pipeline_depth(depth)
+                .pipelined(pipelined)
                 .inline_classes_up_to(0)
                 .parallel_merge_from(1)
                 .record_steps(),
@@ -200,7 +180,7 @@ fn pipelined_run_accounts_overlap_consistently() {
             report.partition_time + report.merge_time,
             "serial drain must be the sum of its phases"
         );
-        if depth == 0 {
+        if !pipelined {
             assert_eq!(report.overlap_time, std::time::Duration::ZERO);
         }
         assert!((0.0..=1.0).contains(&report.overlap_fraction()));
@@ -228,7 +208,7 @@ fn pipelining_composes_with_lifetime_hints_and_compaction() {
         Arc::clone(&prog),
         configure(
             EngineConfig::parallel(8)
-                .pipeline_depth(1)
+                .pipelined(true)
                 .inline_classes_up_to(0)
                 .parallel_merge_from(1),
         ),

@@ -331,13 +331,15 @@ proptest! {
         );
     }
 
-    /// The pipelined coordinator (`pipeline_depth = 1`: epoch swaps and
-    /// background-lane merges overlapped with class execution) reaches
-    /// exactly the fixpoint of the alternating loop (`pipeline_depth =
-    /// 0`): identical Gamma contents, tuple counts and step counts, for
-    /// random fan-out programs (fig8's request→fan→summarise shape and
-    /// fig11's wide single-key classes both arise from the generator),
-    /// thread counts and scheduling knobs. The merge threshold is
+    /// The pipelined coordinator (epoch swaps and merges overlapped with
+    /// class execution) reaches exactly the fixpoint of the alternating
+    /// loop, with **bit-identical pop schedules**: identical Gamma
+    /// contents, tuple counts and step counts, for random layered
+    /// fan-out programs and thread counts. The generator covers fig8's
+    /// request→fan→summarise shape and fig11's wide single-key classes;
+    /// its `dt = 0` arms stage tuples at the executing class's
+    /// successor keys, and the same-layer advance rule stages keys that
+    /// order below later layers' classes. The merge threshold is
     /// dropped to 1 so even small epochs take the parallel subtree
     /// path, and the inline threshold varies so wide classes actually
     /// open the overlap window.
@@ -359,7 +361,7 @@ proptest! {
         let mut off = Engine::new(
             Arc::clone(&prog),
             EngineConfig::parallel(threads)
-                .pipeline_depth(0)
+                .pipelined(false)
                 .inline_classes_up_to(inline_threshold),
         );
         let off_report = off.run().unwrap();
@@ -368,166 +370,41 @@ proptest! {
         let mut on = Engine::new(
             Arc::clone(&prog),
             EngineConfig::parallel(threads)
-                .pipeline_depth(1)
+                .pipelined(true)
                 .inline_classes_up_to(inline_threshold)
                 .parallel_merge_from(1),
         );
         let on_report = on.run().unwrap();
         let got = canonical_gamma(&on);
 
-        prop_assert_eq!(&got, &want, "gamma contents diverged across pipeline depths");
+        prop_assert_eq!(&got, &want, "gamma contents diverged with pipelining on");
         prop_assert_eq!(
             on_report.tuples_processed,
             off_report.tuples_processed,
-            "tuple counts diverged across pipeline depths"
+            "tuple counts diverged with pipelining on"
         );
         prop_assert_eq!(
             on_report.steps,
             off_report.steps,
-            "pop schedules diverged across pipeline depths"
+            "pop schedules diverged with pipelining on"
         );
     }
 
-    /// The lookahead step machine (`pipeline_depth ≥ 2`: epoch ring,
-    /// pre-extracted next class, speculative plans) produces
-    /// **bit-identical pop schedules** to the alternating loop: same
-    /// step count, same tuple count, same Gamma fixpoint, at depths 0,
-    /// 1, 2 and 4 — for random layered fan-out programs whose `dt = 0`
-    /// arms stage tuples *at the prepared class's own key* (the extend
-    /// case) and whose same-layer advance rule stages keys that order
-    /// below later layers' prepared classes (the invalidate case).
-    /// Inline thresholds vary so wide classes actually open the
-    /// speculation window.
-    #[test]
-    fn lookahead_matches_alternating(
-        layers in 1usize..4,
-        fanout in 1i64..5,
-        mul in 1i64..7,
-        add in 0i64..5,
-        modp in 2i64..40,
-        dt in 0i64..3,
-        horizon in 0i64..12,
-        seeds in 1i64..6,
-        threads in 2usize..6,
-        inline_threshold in 0usize..4,
-    ) {
-        let prog = build_program(layers, fanout, mul, add, modp, dt, horizon, seeds);
-
-        let mut base = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(threads)
-                .pipeline_depth(0)
-                .inline_classes_up_to(inline_threshold),
-        );
-        let base_report = base.run().unwrap();
-        let want = canonical_gamma(&base);
-
-        for depth in [1usize, 2, 4] {
-            let mut eng = Engine::new(
-                Arc::clone(&prog),
-                EngineConfig::parallel(threads)
-                    .pipeline_depth(depth)
-                    .inline_classes_up_to(inline_threshold)
-                    .parallel_merge_from(1),
-            );
-            let report = eng.run().unwrap();
-            prop_assert_eq!(
-                report.pipeline_depth,
-                depth,
-                "effective depth must report the configured depth"
-            );
-            let got = canonical_gamma(&eng);
-            prop_assert_eq!(&got, &want, "gamma contents diverged at depth {}", depth);
-            prop_assert_eq!(
-                report.tuples_processed,
-                base_report.tuples_processed,
-                "tuple counts diverged at depth {}",
-                depth
-            );
-            prop_assert_eq!(
-                report.steps,
-                base_report.steps,
-                "pop schedules diverged at depth {}",
-                depth
-            );
-        }
-    }
-
-    /// Lookahead determinism under adversarial merges: the fig12
-    /// relaxation shape, where popping distance `d` stages Estimates at
-    /// `d + w` — keys that routinely order **below** the prepared next
-    /// class (invalidating it) or **at** it (extending it). The Done
-    /// set must be identical at depths 0/1/2/4 and equal to the
-    /// sequential run's, with both the adaptive and the fixed overlap
-    /// controller.
-    #[test]
-    fn lookahead_survives_adversarial_relaxation(
-        n in 20i64..120,
-        degree in 1i64..4,
-        weight_mod in 1i64..9,
-        threads in 2usize..6,
-        adaptive_arm in 0usize..2,
-    ) {
-        let adaptive = adaptive_arm == 1;
-        let prog = relaxation_program(n, degree, weight_mod);
-        let done = prog.table_id("Done").unwrap();
-        let estimate = prog.table_id("Estimate").unwrap();
-        let configure = |c: EngineConfig| {
-            c.no_delta(done).no_gamma(estimate).store(
-                done,
-                StoreKind::Hash {
-                    index_fields: vec!["vertex".into()],
-                    shards: 8,
-                },
-            )
-        };
-
-        let mut seq_eng = Engine::new(
-            Arc::clone(&prog),
-            configure(EngineConfig::sequential()),
-        );
-        let seq_report = seq_eng.run().unwrap();
-        prop_assert_eq!(seq_report.pipeline_depth, 0, "sequential mode has no pipeline");
-        let mut want = seq_eng.gamma().collect(&Query::on(done));
-        want.sort();
-
-        for depth in [0usize, 1, 2, 4] {
-            let mut eng = Engine::new(
-                Arc::clone(&prog),
-                configure(
-                    EngineConfig::parallel(threads)
-                        .pipeline_depth(depth)
-                        .adaptive_overlap(adaptive)
-                        .inline_classes_up_to(0)
-                        .parallel_merge_from(1),
-                ),
-            );
-            let report = eng.run().unwrap();
-            let mut got = eng.gamma().collect(&Query::on(done));
-            got.sort();
-            // Step counts are not compared here: the relax rule *queries*
-            // Done mid-class, so which Estimates get staged is timing-
-            // dependent in every parallel configuration (the fixpoint is
-            // not). The bit-identical pop schedule proof lives in
-            // `lookahead_matches_alternating`, whose programs stage
-            // deterministically.
-            prop_assert_eq!(&got, &want, "Done set diverged at depth {}", depth);
-            if depth < 2 {
-                prop_assert_eq!(
-                    report.lookahead_hits + report.lookahead_misses,
-                    0,
-                    "lookahead must stay disarmed below depth 2"
-                );
-            }
-        }
-    }
-
-    /// Pipeline determinism on the fig12 (Dijkstra) shape: a
-    /// self-feeding relaxation whose orderby makes the Delta tree the
-    /// priority queue, with `-noDelta`/hash-indexed Done and `-noGamma`
-    /// Estimate exactly like the real app. The final Done set must be
-    /// identical at both pipeline depths and equal to the sequential
-    /// run's.
+    /// Pipeline determinism on the fig12 (Dijkstra) shape under
+    /// adversarial merges: a self-feeding relaxation whose orderby makes
+    /// the Delta tree the priority queue, with `-noDelta`/hash-indexed
+    /// Done and `-noGamma` Estimate exactly like the real app. Popping
+    /// distance `d` stages Estimates at `d + w` — keys that routinely
+    /// order below or at the next class while the current one runs. The
+    /// final Done set must be identical with pipelining on and off and
+    /// equal to the sequential run's.
+    ///
+    /// Step counts are not compared here: the relax rule *queries* Done
+    /// mid-class, so which Estimates get staged is timing-dependent in
+    /// every parallel configuration (the fixpoint is not). The
+    /// bit-identical pop schedule proof lives in
+    /// `pipelined_matches_alternating`, whose programs stage
+    /// deterministically.
     #[test]
     fn pipelined_dijkstra_shape_is_deterministic(
         n in 20i64..120,
@@ -556,12 +433,12 @@ proptest! {
         let mut want = seq_eng.gamma().collect(&Query::on(done));
         want.sort();
 
-        for depth in [0usize, 1] {
+        for pipelined in [false, true] {
             let mut eng = Engine::new(
                 Arc::clone(&prog),
                 configure(
                     EngineConfig::parallel(threads)
-                        .pipeline_depth(depth)
+                        .pipelined(pipelined)
                         .inline_classes_up_to(0)
                         .parallel_merge_from(1),
                 ),
@@ -569,7 +446,7 @@ proptest! {
             eng.run().unwrap();
             let mut got = eng.gamma().collect(&Query::on(done));
             got.sort();
-            prop_assert_eq!(&got, &want, "Done set diverged at depth {}", depth);
+            prop_assert_eq!(&got, &want, "Done set diverged (pipelined {})", pipelined);
         }
     }
 
@@ -577,7 +454,7 @@ proptest! {
     /// fixpoint: for random programs, `Engine::content_hash()` — the
     /// hash a snapshot stores per table and recovery compares against —
     /// is bit-identical across the sequential engine and every
-    /// (threads × pipeline depth 0/1/2/4) parallel configuration. This
+    /// (threads × pipelining on/off) parallel configuration. This
     /// is what makes crash-recovery checkable: restore + resume must
     /// land on this exact hash whatever configuration resumes the run.
     #[test]
@@ -598,11 +475,11 @@ proptest! {
         seq_eng.run().unwrap();
         let want = seq_eng.content_hash();
 
-        for depth in [0usize, 1, 2, 4] {
+        for pipelined in [false, true] {
             let mut eng = Engine::new(
                 Arc::clone(&prog),
                 EngineConfig::parallel(threads)
-                    .pipeline_depth(depth)
+                    .pipelined(pipelined)
                     .inline_classes_up_to(0)
                     .parallel_merge_from(1),
             );
@@ -610,9 +487,9 @@ proptest! {
             prop_assert_eq!(
                 eng.content_hash(),
                 want,
-                "content hash diverged at {} threads, depth {}",
+                "content hash diverged at {} threads, pipelined {}",
                 threads,
-                depth
+                pipelined
             );
         }
     }
@@ -657,7 +534,7 @@ proptest! {
                 .join_strategy(JoinStrategy::HashProbe)
                 .delta_join_from(threshold),
             EngineConfig::parallel(threads)
-                .pipeline_depth(2)
+                .pipelined(true)
                 .parallel_merge_from(1)
                 .delta_join_from(threshold),
         ];
@@ -704,8 +581,8 @@ proptest! {
     /// delta-join eligible, leapfrog or hash strategy) produces exactly
     /// the hand-written nested-loop lowering's results — same Gamma
     /// fixpoint, same content hash, and **bit-identical pop schedules**
-    /// — sequentially, in parallel, and under the depth-2 pipelined
-    /// coordinator.
+    /// — sequentially, in parallel, and under the pipelined coordinator
+    /// with every epoch merged in parallel.
     #[test]
     fn typed_join_matches_nested_loop_lowering(
         dims in 1i64..25,
@@ -730,7 +607,7 @@ proptest! {
                 .delta_join_from(threshold),
             EngineConfig::parallel(threads).delta_join_from(threshold),
             EngineConfig::parallel(threads)
-                .pipeline_depth(2)
+                .pipelined(true)
                 .parallel_merge_from(1)
                 .delta_join_from(threshold),
         ];
@@ -767,7 +644,7 @@ proptest! {
     /// `EagerRefresh`) produces **bit-identical pop schedules** (same
     /// step count, same tuple count), the same Gamma fixpoint, the same
     /// content hash, and the same cursor-visible group sets, at 1/4/8
-    /// threads × pipeline depths 0/1/2. The hint tombstones (and, past
+    /// threads × pipelining off/on. The hint tombstones (and, past
     /// the compaction threshold, epoch-bumps) the very table whose
     /// cached views the join keeps reopening, so wholesale invalidation
     /// and journal-suffix catch-up both run under live traffic.
@@ -802,17 +679,17 @@ proptest! {
         let want_hash = base.content_hash();
         let want_groups = cursor_groups(&base);
 
-        for depth in [0usize, 1, 2] {
+        for pipelined in [false, true] {
             for policy in [
                 IndexCachePolicy::Off,
                 IndexCachePolicy::OnDemand,
                 IndexCachePolicy::EagerRefresh,
             ] {
-                let config = if threads == 1 && depth == 0 {
+                let config = if threads == 1 && !pipelined {
                     EngineConfig::sequential()
                 } else {
                     EngineConfig::parallel(threads)
-                        .pipeline_depth(depth)
+                        .pipelined(pipelined)
                         .parallel_merge_from(1)
                 };
                 let mut eng = Engine::new(
@@ -823,26 +700,26 @@ proptest! {
                 let got = canonical_gamma(&eng);
                 prop_assert_eq!(
                     &got, &want,
-                    "gamma diverged ({:?}, {} threads, depth {})",
-                    policy, threads, depth
+                    "gamma diverged ({:?}, {} threads, pipelined {})",
+                    policy, threads, pipelined
                 );
                 prop_assert_eq!(
                     eng.content_hash(),
                     want_hash,
-                    "content hash diverged ({:?}, {} threads, depth {})",
-                    policy, threads, depth
+                    "content hash diverged ({:?}, {} threads, pipelined {})",
+                    policy, threads, pipelined
                 );
                 prop_assert_eq!(
                     (report.steps, report.tuples_processed),
                     (base_report.steps, base_report.tuples_processed),
-                    "pop schedule diverged ({:?}, {} threads, depth {})",
-                    policy, threads, depth
+                    "pop schedule diverged ({:?}, {} threads, pipelined {})",
+                    policy, threads, pipelined
                 );
                 let groups = cursor_groups(&eng);
                 prop_assert_eq!(
                     &groups, &want_groups,
-                    "cursor-visible groups diverged ({:?}, {} threads, depth {})",
-                    policy, threads, depth
+                    "cursor-visible groups diverged ({:?}, {} threads, pipelined {})",
+                    policy, threads, pipelined
                 );
                 if policy == IndexCachePolicy::Off {
                     prop_assert_eq!(
