@@ -244,26 +244,22 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree_and_leapfrog_searches_less() {
+    fn leapfrog_matches_per_tuple_and_searches_less() {
         let spec = small_spec();
         let want = baseline_distinct_total(&spec);
         let (lf, lf_r) = run_report(spec, EngineConfig::sequential().delta_join_from(4)).unwrap();
-        let (hp, hp_r) = run_report(
-            spec,
-            EngineConfig::sequential()
-                .join_strategy(JoinStrategy::HashProbe)
-                .delta_join_from(4),
-        )
-        .unwrap();
+        let (pt, pt_r) =
+            run_report(spec, EngineConfig::sequential().delta_join_from(usize::MAX)).unwrap();
         assert_eq!(lf, want);
-        assert_eq!(hp, want);
-        assert!(lf_r.delta_join_classes > 0 && hp_r.delta_join_classes > 0);
+        assert_eq!(pt, want);
+        assert!(lf_r.delta_join_classes > 0, "walk engaged: {lf_r:?}");
+        assert_eq!(pt_r.delta_join_classes, 0, "per-tuple engaged: {pt_r:?}");
         assert!(
-            lf_r.gamma_probes + lf_r.join_seeks < hp_r.gamma_probes,
-            "lf probes={} seeks={} vs hp probes={}",
+            lf_r.gamma_probes + lf_r.join_seeks < pt_r.gamma_probes,
+            "lf probes={} seeks={} vs pt probes={}",
             lf_r.gamma_probes,
             lf_r.join_seeks,
-            hp_r.gamma_probes
+            pt_r.gamma_probes
         );
     }
 

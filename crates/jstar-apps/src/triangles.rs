@@ -8,13 +8,10 @@
 //! relation is materialised. The rule is registered through
 //! [`ProgramBuilder::rule_rel_join2`], so it carries an inspectable
 //! two-stage [`JoinPlan`] and every `Probe` stratum drains through the
-//! engine's batched delta-join pass. Under the default
-//! [`JoinStrategy::Leapfrog`] that pass is one coordinated sorted-merge
-//! walk over the `Edge` indexes per class; under
-//! [`JoinStrategy::HashProbe`] it is the PR 8 behaviour of one hash
-//! probe per distinct key. The `wco_join` section of `bench_hotpath`
-//! A/B-compares the strategies on this program and records the
-//! probe/seek counters.
+//! engine's batched delta-join pass: one coordinated sorted-merge walk
+//! over the cached `Edge` indexes per class. The `delta_join` section of
+//! `bench_hotpath` A/B-compares that walk against per-tuple firing on
+//! this program and records the probe/seek/cursor-open counters.
 //!
 //! The same count is also available *after* the run as a read-side
 //! query: [`count_via_join3`] evaluates
@@ -337,60 +334,34 @@ mod tests {
         let spec = small_spec();
         let want = triangles_baseline(&spec);
 
-        // Pin the PR 8 hash-probe strategy: this test is about the
-        // batched-vs-per-tuple axis, not the walk.
-        let hash = |threshold| {
-            EngineConfig::sequential()
-                .join_strategy(JoinStrategy::HashProbe)
-                .delta_join_from(threshold)
-        };
-        let (dj_count, dj) = run_jstar_report(spec, hash(4)).unwrap();
-        let (pt_count, pt) = run_jstar_report(spec, hash(usize::MAX)).unwrap();
-
-        assert_eq!(dj_count, want);
-        assert_eq!(pt_count, want);
-        assert!(dj.delta_join_classes > 0, "batched mode engaged: {dj:?}");
-        assert!(dj.delta_join_probes > 0);
-        assert!(dj.delta_join_build_tuples > 0);
-        assert_eq!(pt.delta_join_classes, 0, "per-tuple mode engaged: {pt:?}");
-        assert!(
-            dj.gamma_probes < pt.gamma_probes,
-            "batching shrinks probe count: dj={} pt={}",
-            dj.gamma_probes,
-            pt.gamma_probes
-        );
-    }
-
-    #[test]
-    fn leapfrog_walk_beats_hash_probes_and_counts_seeks() {
-        let spec = small_spec();
-        let want = triangles_baseline(&spec);
-
-        let (lf_count, lf) = run_jstar_report(
-            spec,
-            EngineConfig::sequential().delta_join_from(4), // Leapfrog is the default
-        )
-        .unwrap();
-        let (hp_count, hp) = run_jstar_report(
-            spec,
-            EngineConfig::sequential()
-                .join_strategy(JoinStrategy::HashProbe)
-                .delta_join_from(4),
-        )
-        .unwrap();
+        let (lf_count, lf) =
+            run_jstar_report(spec, EngineConfig::sequential().delta_join_from(4)).unwrap();
+        let (pt_count, pt) =
+            run_jstar_report(spec, EngineConfig::sequential().delta_join_from(usize::MAX)).unwrap();
 
         assert_eq!(lf_count, want);
-        assert_eq!(hp_count, want);
+        assert_eq!(pt_count, want);
         assert!(lf.delta_join_classes > 0, "walk engaged: {lf:?}");
+        assert!(lf.delta_join_build_tuples > 0);
         assert!(lf.join_cursor_opens > 0, "cursors opened: {lf:?}");
-        assert_eq!(hp.join_cursor_opens, 0, "hash mode opens no cursors");
-        assert_eq!(lf.delta_join_probes, 0, "walk mode issues no hash probes");
+        assert_eq!(lf.delta_join_probes, 0, "the walk issues no per-key probes");
+        assert_eq!(pt.delta_join_classes, 0, "per-tuple mode engaged: {pt:?}");
+        assert_eq!(pt.join_cursor_opens, 0, "per-tuple firing opens no cursor");
         assert!(
-            lf.gamma_probes + lf.join_seeks < hp.gamma_probes,
-            "merged walk does less store searching: lf probes={} seeks={} vs hp probes={}",
+            lf.gamma_probes + lf.join_seeks < pt.gamma_probes,
+            "merged walk does less store searching: lf probes={} seeks={} vs pt probes={}",
             lf.gamma_probes,
             lf.join_seeks,
-            hp.gamma_probes
+            pt.gamma_probes
+        );
+        // The walk re-opens the Edge index across classes, so the cache
+        // must serve some opens instead of rebuilding them.
+        assert!(lf.index_cache_hits > 0, "cache hit: {lf:?}");
+        assert!(
+            lf.index_cache_misses < lf.join_cursor_opens,
+            "misses {} vs opens {}",
+            lf.index_cache_misses,
+            lf.join_cursor_opens
         );
     }
 

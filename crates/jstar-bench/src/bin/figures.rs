@@ -104,7 +104,6 @@ fn hotpath() {
             format!("{}/{}", report.inline_classes, report.forked_classes),
             exec_mode,
             report.gamma_probes.to_string(),
-            report.delta_join_probes.to_string(),
             report.join_seeks.to_string(),
             report.join_cursor_opens.to_string(),
             cache_hit_rate,
@@ -139,11 +138,10 @@ fn hotpath() {
         rows.push(row(format!("dijkstra parallel({threads})"), &report));
     }
     let threads = 4usize;
-    // Triangle counting in all three execution modes: per-tuple
-    // nested-loop firing, batched delta-join with hash probes, and the
-    // batched class on the leapfrog merged-cursor walk. The gamma
-    // probe / join seek / cursor-open columns put the search-count
-    // reduction of each step on record.
+    // Triangle counting in both execution modes: per-tuple nested-loop
+    // firing, and the batched class on the leapfrog merged-cursor walk.
+    // The gamma probe / join seek / cursor-open columns put the
+    // search-count reduction on record.
     let tri_spec = triangles_spec();
     let (_, report) = jstar_apps::triangles::run_jstar_report(
         tri_spec,
@@ -154,17 +152,6 @@ fn hotpath() {
     .expect("triangles runs");
     rows.push(row(
         format!("triangles parallel({threads}) per-tuple"),
-        &report,
-    ));
-    let (_, report) = jstar_apps::triangles::run_jstar_report(
-        tri_spec,
-        par_config(threads)
-            .join_strategy(JoinStrategy::HashProbe)
-            .record_steps(),
-    )
-    .expect("triangles runs");
-    rows.push(row(
-        format!("triangles parallel({threads}) delta-join hash"),
         &report,
     ));
     let (_, report) =
@@ -192,7 +179,6 @@ fn hotpath() {
             "inline/forked classes",
             "exec mode",
             "gamma probes",
-            "delta-join probes",
             "join seeks",
             "cursor opens",
             "cache hit rate",

@@ -3,7 +3,6 @@
 //! exactly the same code.
 
 use crate::{scaled, time_once};
-use jstar_apps::basket::{self, BasketSpec};
 use jstar_apps::matmul;
 use jstar_apps::median;
 use jstar_apps::pvwatts::{self, DisruptorConfig, InputOrder, Variant};
@@ -45,23 +44,6 @@ pub fn median_len() -> usize {
 pub fn triangles_spec() -> TriSpec {
     let n = scaled(20_000, 500) as u32;
     TriSpec::new(n, 4 * n, 24, 0x7A1A)
-}
-
-/// Basket-scoring spec (the index-cache parity exhibit). The `Order`
-/// stratum pops as one wide class, so the two-stage join opens the
-/// `Catalog` and `Weight` indexes exactly once each — the workload
-/// where the cache can never hit and therefore must cost nothing
-/// (triangles, which re-opens `Edge` across strata, is the arm where
-/// hits pay). Scale 1 → 60k orders over a 2k-item catalogue.
-pub fn basket_spec() -> BasketSpec {
-    BasketSpec::new(scaled(60_000, 2_000) as u32, 2_000, 64, 8, 0xBA5C)
-}
-
-/// Runs JStar basket scoring; returns wall time.
-pub fn run_basket(spec: BasketSpec, config: EngineConfig) -> Duration {
-    let ((total, _), d) = time_once(|| basket::run_report(spec, config).expect("basket runs"));
-    assert!(total > 0, "the bench baskets must score");
-    d
 }
 
 /// Runs PvWatts under a variant/engine config; returns wall time.
@@ -281,10 +263,6 @@ mod tests {
         run_matmul(n, &a, &b, EngineConfig::sequential());
         run_dijkstra(GraphSpec::new(200, 200, 4, 1), EngineConfig::sequential());
         run_triangles(TriSpec::new(100, 400, 4, 1), EngineConfig::sequential());
-        run_basket(
-            BasketSpec::new(400, 50, 12, 4, 7),
-            EngineConfig::sequential(),
-        );
         let data = Arc::new(median::gen_data(1_000, 1));
         run_median(&data, 4, EngineConfig::sequential());
     }

@@ -2,7 +2,7 @@
 //! options, kept *outside* the program source (workflow stages 3–4).
 
 use crate::delta::DeltaKind;
-use crate::gamma::{IndexCachePolicy, StoreKind, DEFAULT_INDEX_CACHE_MAX_BYTES};
+use crate::gamma::StoreKind;
 use crate::schema::TableId;
 use crate::tuple::Tuple;
 use jstar_pool::ThreadPool;
@@ -91,47 +91,17 @@ pub struct EngineConfig {
     pub checkpoint_keep: usize,
     /// Minimum extracted-class size at which rules carrying a
     /// [`crate::rule::JoinPlan`] switch from per-tuple firing to
-    /// **delta-join** execution: the class is grouped by its join-key
-    /// values and Gamma is probed once per distinct key instead of once
-    /// per tuple (semi-naive evaluation with the class as the delta).
-    /// Below the threshold the batching bookkeeping costs more than the
-    /// probes it saves. `usize::MAX` disables delta-join entirely;
+    /// **delta-join** execution: the class is sorted into join-key groups
+    /// and leapfrogged against one column cursor per probe table instead
+    /// of probing Gamma once per tuple (semi-naive evaluation with the
+    /// class as the delta). Below the threshold the batching bookkeeping
+    /// costs more than the probes it saves. A plan with a keyless stage
+    /// (a cross join) has no key to walk, so it fires per tuple at any
+    /// class size. `usize::MAX` disables delta-join entirely;
     /// opaque (closure-body) rules always run per tuple regardless.
     /// Results are identical in both modes — set semantics and the Law
     /// of Causality make intra-class execution order unobservable.
     pub delta_join_threshold: usize,
-    /// How delta-join classes probe Gamma — see [`JoinStrategy`]. The
-    /// default is the leapfrog cursor walk; [`JoinStrategy::HashProbe`]
-    /// keeps the PR 8 one-probe-per-distinct-key pass (the A/B knob the
-    /// benches use). Emissions are identical under either strategy.
-    pub join_strategy: JoinStrategy,
-    /// Column-index caching policy for join walks — see
-    /// [`IndexCachePolicy`]. Under the default (`OnDemand`) every built
-    /// sorted column view is kept, stamped with its store's claim-journal
-    /// generation, and caught up incrementally (sort the journal suffix,
-    /// merge) instead of rebuilt from a full scan-and-sort;
-    /// `EagerRefresh` additionally catches stale entries up on the
-    /// pool's background lane at the maintain phase, hiding the work
-    /// behind the execute window; `Off` restores the PR 9 per-walk
-    /// throwaway build. Join *results* are identical under every policy
-    /// — only where the sort cost lands changes.
-    pub index_cache: IndexCachePolicy,
-    /// Per-table byte bound on cached column views; least-recently-used
-    /// entries are evicted past it (the most recently built view always
-    /// survives). See [`EngineConfig::index_cache`].
-    pub index_cache_max_bytes: usize,
-}
-
-/// The probe strategy of batched delta-join execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// One hash/indexed Gamma probe per distinct join key (PR 8).
-    HashProbe,
-    /// One coordinated sorted-merge walk per class: open a column
-    /// cursor on each probe table once, then leapfrog the class's
-    /// sorted key groups against it with seek/next motions. Fewer
-    /// store probes on wide classes; identical emissions.
-    Leapfrog,
 }
 
 impl Default for EngineConfig {
@@ -159,9 +129,6 @@ impl Default for EngineConfig {
             checkpoint_path: None,
             checkpoint_keep: 2,
             delta_join_threshold: 32,
-            join_strategy: JoinStrategy::Leapfrog,
-            index_cache: IndexCachePolicy::default(),
-            index_cache_max_bytes: DEFAULT_INDEX_CACHE_MAX_BYTES,
         }
     }
 }
@@ -276,27 +243,6 @@ impl EngineConfig {
     /// [`EngineConfig::delta_join_threshold`].
     pub fn delta_join_from(mut self, class_size: usize) -> Self {
         self.delta_join_threshold = class_size;
-        self
-    }
-
-    /// Selects the delta-join probe strategy (leapfrog cursor walk vs
-    /// per-key hash probing). See [`JoinStrategy`].
-    pub fn join_strategy(mut self, strategy: JoinStrategy) -> Self {
-        self.join_strategy = strategy;
-        self
-    }
-
-    /// Selects the column-index caching policy (off / on-demand /
-    /// eager-refresh). See [`EngineConfig::index_cache`].
-    pub fn index_cache(mut self, policy: IndexCachePolicy) -> Self {
-        self.index_cache = policy;
-        self
-    }
-
-    /// Sets the per-table byte bound for cached column views. See
-    /// [`EngineConfig::index_cache_max_bytes`].
-    pub fn index_cache_max_bytes(mut self, bytes: usize) -> Self {
-        self.index_cache_max_bytes = bytes;
         self
     }
 

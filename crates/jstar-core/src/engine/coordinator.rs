@@ -69,11 +69,7 @@ impl Engine {
                     .unwrap_or_else(|| StoreKind::default_for(!config.sequential))
             })
             .collect();
-        let mut gamma = Gamma::new(program.defs(), &kinds);
-        // Apply the join-index cache policy while the engine is still
-        // single-threaded (swapping the cache later would race workers
-        // and discard counters).
-        gamma.configure_index_cache(config.index_cache, config.index_cache_max_bytes);
+        let gamma = Gamma::new(program.defs(), &kinds);
         let pool = if config.sequential {
             None
         } else {
@@ -133,7 +129,6 @@ impl Engine {
             errors: Mutex::new(Vec::new()),
             stats: EngineStats::new(n),
             pool: pool.clone(),
-            join_strategy: config.join_strategy,
         });
         Engine {
             state,
@@ -198,16 +193,6 @@ impl Engine {
             .collect();
         let scheduler = Scheduler::new(self.config.inline_class_threshold)
             .with_delta_join(self.config.delta_join_threshold, join_tables);
-        // Eager index refresh: one background-lane batch in flight at a
-        // time, submitted at the end of each maintain phase so catch-up
-        // hides behind the next step's execute window, and joined at the
-        // start of the next maintain phase — before any store surgery
-        // (retain/compact) that requires the quiescent point.
-        let eager_refresh = matches!(
-            self.config.index_cache,
-            crate::gamma::IndexCachePolicy::EagerRefresh
-        );
-        let mut pending_refresh: Option<jstar_pool::TaskBatch<()>> = None;
         let mut steps: u64 = 0;
         let mut checkpoints: u64 = 0;
         let mut checkpoint_time = Duration::ZERO;
@@ -321,13 +306,6 @@ impl Engine {
             // manual tuple-lifetime hints run here, followed by
             // tombstone compaction for stores the hints have hollowed
             // out.
-            //
-            // The previous step's index-refresh batch is joined first:
-            // its jobs read the Gamma stores, and the retain/compact
-            // surgery below requires that no such reader remains.
-            if let (Some(batch), Some(pool)) = (pending_refresh.take(), self.pool.as_deref()) {
-                batch.join(pool);
-            }
             for (table, interval, keep) in &self.config.lifetime_hints {
                 if !steps.is_multiple_of(*interval) {
                     continue;
@@ -393,41 +371,6 @@ impl Engine {
                     }
                 }
             }
-
-            // Eager index refresh: catch every cached column view up to
-            // the journal generation this step's inserts reached, so the
-            // next join-heavy class finds warm indexes at extract time.
-            // Parallel runs submit the catch-ups on the pool's
-            // background lane — only workers with no class chunk left
-            // pick them up, the same overlap trick as the Delta merge —
-            // and the batch is joined at the top of the next maintain
-            // phase. Sequential runs refresh inline.
-            if eager_refresh {
-                let tables = state.gamma.index_cache().cached_tables();
-                if !tables.is_empty() {
-                    match &self.pool {
-                        Some(pool) => {
-                            let jobs: Vec<_> = tables
-                                .into_iter()
-                                .map(|ti| {
-                                    let st = Arc::clone(&self.state);
-                                    move || st.gamma.refresh_indexes(TableId(ti as u32))
-                                })
-                                .collect();
-                            pending_refresh = Some(jstar_pool::submit_background(pool, jobs));
-                        }
-                        None => {
-                            for ti in tables {
-                                state.gamma.refresh_indexes(TableId(ti as u32));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if let (Some(batch), Some(pool)) = (pending_refresh.take(), self.pool.as_deref()) {
-            batch.join(pool);
         }
 
         let errors = state.errors.lock();
@@ -453,7 +396,7 @@ impl Engine {
             checkpoints,
             checkpoint_time,
             delta_join_classes: state.stats.delta_join_classes.load(Ordering::Relaxed),
-            delta_join_probes: state.stats.delta_join_probes.load(Ordering::Relaxed),
+            delta_join_probes: 0,
             delta_join_build_tuples: state.stats.delta_join_build_tuples.load(Ordering::Relaxed),
             gamma_probes: state
                 .stats

@@ -93,21 +93,22 @@
 //! * **Per-tuple** (the default, always correct): every fresh tuple of
 //!   the class fires every rule on its table; a rule that joins its
 //!   trigger against a Gamma table pays one indexed probe per tuple.
-//! * **Delta-join** (`runtime::process_class_delta_join`): when every
-//!   rule triggered by the class's table carries an inspectable
+//! * **Delta-join** (`runtime::process_class_delta_join`): when the
+//!   class's table triggers at least one rule carrying an inspectable
 //!   [`crate::rule::JoinPlan`] — registered through
 //!   `ProgramBuilder::rule_rel_join`, which records which trigger
 //!   fields equate to which probe-table fields — and the class has at
 //!   least [`EngineConfig::delta_join_threshold`] tuples, the whole
 //!   class is treated as the semi-naive *delta*: fresh tuples are
-//!   grouped by their join-key values in one deterministic pass, Gamma
-//!   is probed **once per distinct key**, and each match is filtered
-//!   and emitted against every group member. Distinct-key groups fan
-//!   out across the pool like class chunks do. Rules without plans in
-//!   an otherwise-eligible class still run per-tuple after the batched
-//!   rules.
+//!   grouped by their join-key values in one deterministic sorted pass,
+//!   one sorted column cursor is opened per probe stage, and the sorted
+//!   groups are **leapfrogged** against it with seek/next motions, each
+//!   match filtered and emitted against every group member. Key groups
+//!   fan out across the pool like class chunks do. Opaque rules, and
+//!   plans with a keyless stage (cross joins, which give a cursor
+//!   nothing to seek on), still run per tuple after the walked rules.
 //!
-//! The static half of the choice (does every rule on this table have a
+//! The static half of the choice (does any rule on this table have a
 //! plan?) is computed once per run; the dynamic half (is this class
 //! wide enough, and single-table?) is `schedule::Scheduler::delta_join`.
 //! Mode selection is invisible in results: both modes insert the class
@@ -115,39 +116,36 @@
 //! by set semantics the staged tuple set — and therefore the pop
 //! schedule — is bit-identical (property-tested in
 //! `tests/prop_engine.rs::delta_join_matches_per_tuple`).
-//! [`RunReport::delta_join_classes`], [`RunReport::delta_join_probes`],
-//! [`RunReport::delta_join_build_tuples`] and
-//! [`RunReport::gamma_probes`] put the probe-count reduction on record;
-//! `bench_hotpath`'s `delta_join` section A/B-measures it and gates
+//! [`RunReport::delta_join_classes`],
+//! [`RunReport::delta_join_build_tuples`], [`RunReport::gamma_probes`],
+//! [`RunReport::join_cursor_opens`] and [`RunReport::join_seeks`] put
+//! the search-cost reduction on record; `bench_hotpath`'s `delta_join`
+//! section A/B-measures the walk against per-tuple firing and gates
 //! that the mode costs nothing on join-free programs.
 //!
 //! ## The index-cache lifecycle
 //!
 //! Leapfrog join walks open sorted per-column views
-//! ([`crate::gamma::TableStore::open_cursor`]); iterative programs
-//! reopen the same columns step after step over largely-unchanged
-//! tables. [`EngineConfig::index_cache`] keeps each built view in a
-//! per-table cache ([`crate::gamma::IndexCache`]) stamped with the
-//! store's claim-journal **generation**: a warm open sorts only the
-//! journal suffix appended since the stamp and two-way merges it into
-//! the cached groups, so its cost tracks the *new* tuples per step
-//! instead of the live table. Lifetime-hint `retain`s (a changed
-//! tombstone count) and quiescent rebuilds — compaction, snapshot
-//! import, both of which bump the store's epoch — invalidate wholesale;
-//! both happen only in the maintain phase, which is also where
-//! `EagerRefresh` submits background-lane catch-up jobs (joined at the
-//! top of the next maintain phase, before any retain or compact, so
-//! refresh never races a table replacement). Policy choice:
-//! `OnDemand` (the default) is right for almost everything — pure wins,
-//! catch-up cost on the opening walk; `EagerRefresh` moves that cost
-//! behind the execute window when join-heavy steps dominate and idle
-//! workers exist; `Off` is the A/B baseline and the fallback for
-//! memory-constrained runs (though the per-table LRU bound
-//! [`EngineConfig::index_cache_max_bytes`] usually suffices).
+//! ([`crate::gamma::Gamma::open_cursor`]); iterative programs reopen
+//! the same columns step after step over largely-unchanged tables.
+//! Gamma keeps each built view in a per-table cache
+//! ([`crate::gamma::IndexCache`]) stamped with the store's
+//! claim-journal **generation**: a warm open sorts only the journal
+//! suffix appended since the stamp and two-way merges it into the
+//! cached groups, so its cost tracks the *new* tuples per step instead
+//! of the live table. The catch-up runs lazily, on the opening walk.
+//! Lifetime-hint `retain`s (a changed tombstone count) and quiescent
+//! rebuilds — compaction, snapshot import, both of which bump the
+//! store's epoch — invalidate wholesale; both happen only in the
+//! maintain phase, when no walk is open. The cache is always on: a
+//! store without a claim journal reports no stamp and takes the cold
+//! [`crate::gamma::TableStore::open_cursor`] path, and a per-table LRU
+//! bound ([`crate::gamma::DEFAULT_INDEX_CACHE_MAX_BYTES`]) caps its
+//! memory.
 //! [`RunReport::index_cache_hits`]/[`RunReport::index_cache_misses`]/
 //! [`RunReport::index_catchup_tuples`]/[`RunReport::index_build_tuples`]
-//! put the rebuild-work reduction on record, and every policy is
-//! property-tested to produce bit-identical pop schedules
+//! put the rebuild-work reduction on record, and the cached views are
+//! property-tested against cold builds and per-tuple firing
 //! (`tests/prop_engine.rs::cached_index_matches_cold_build`).
 //!
 //! ## Hot-path architecture
@@ -199,7 +197,7 @@ mod schedule;
 #[cfg(test)]
 mod tests;
 
-pub use config::{EngineConfig, JoinStrategy, LifetimeHint};
+pub use config::{EngineConfig, LifetimeHint};
 pub use coordinator::{Engine, RestoreOutcome};
 pub use ctx::RuleCtx;
 pub use report::RunReport;

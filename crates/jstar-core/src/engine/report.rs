@@ -54,28 +54,28 @@ pub struct RunReport {
     pub checkpoint_time: Duration,
     /// Classes executed in batched **delta-join** mode: the class
     /// cleared [`super::EngineConfig::delta_join_threshold`] and its
-    /// trigger table had at least one join-plan rule, so those rules
-    /// ran as one grouped Gamma pass instead of one probe per tuple.
+    /// trigger table had at least one join-plan rule, so its keyed plans
+    /// ran as one leapfrog walk instead of one probe per tuple.
     pub delta_join_classes: u64,
-    /// Batched Gamma probes issued by delta-join execution — one per
-    /// (rule × distinct join-key group). Compare against
-    /// [`RunReport::delta_join_build_tuples`]: per-tuple mode would
-    /// have issued one probe per build tuple instead.
+    /// Always 0: delta-join execution issues no per-key probes (its
+    /// store work is [`RunReport::join_cursor_opens`] plus
+    /// [`RunReport::join_seeks`]). Kept only because the `perfbench`
+    /// harness reads it.
     pub delta_join_probes: u64,
     /// Trigger tuples folded into delta-join build tables (the
     /// "delta" side of the semi-naive join).
     pub delta_join_build_tuples: u64,
     /// Total Gamma queries issued by rule bodies across all tables —
-    /// per-tuple probes, batched delta-join probes and leapfrog cursor
-    /// opens alike, so an A/B run shows the probe-count reduction
-    /// directly.
+    /// per-tuple probes and leapfrog cursor opens alike, so an A/B run
+    /// against [`super::EngineConfig::delta_join_from`]`(usize::MAX)`
+    /// shows the probe-count reduction directly.
     pub gamma_probes: u64,
     /// Galloping cursor repositionings performed by leapfrog join
-    /// walks (`join::<..>()` reads and delta-join classes under
-    /// [`super::JoinStrategy::Leapfrog`]). Single-step `next` advances
-    /// are free and not counted, so `gamma_probes + join_seeks` is the
-    /// walk's total store-search cost — the number to compare against
-    /// the hash-probe strategy's `gamma_probes`.
+    /// walks (`join::<..>()` reads and delta-join classes). Single-step
+    /// `next` advances are free and not counted, so
+    /// `gamma_probes + join_seeks` is the walk's total store-search
+    /// cost — the number to compare against the per-tuple run's
+    /// `gamma_probes`.
     pub join_seeks: u64,
     /// Sorted column views opened for leapfrog join walks — one per
     /// (walk × relation), each also counted in
@@ -83,20 +83,20 @@ pub struct RunReport {
     pub join_cursor_opens: u64,
     /// Cursor opens served from the generation-stamped index cache
     /// (including after a journal-suffix catch-up) — see
-    /// [`super::EngineConfig::index_cache`].
+    /// [`crate::gamma::IndexCache`].
     pub index_cache_hits: u64,
-    /// Cursor opens that built a column view from scratch: cache off,
-    /// store without a claim journal, first open of a column, or
-    /// wholesale invalidation (compaction epoch / tombstone change).
+    /// Cursor opens that built a column view from scratch: store
+    /// without a claim journal, first open of a column, or wholesale
+    /// invalidation (compaction epoch / tombstone change).
     pub index_cache_misses: u64,
     /// Tuples sorted and merged by incremental journal-suffix catch-ups
-    /// (warm opens plus eager-refresh jobs). The cache's point is that
-    /// this grows with the *new* tuples per step, while…
+    /// on warm opens. The cache's point is that this grows with the
+    /// *new* tuples per step, while…
     pub index_catchup_tuples: u64,
-    /// …tuples sorted by full cold builds — under `Off` this re-counts
-    /// every live tuple on every walk, which is exactly the repeated
-    /// work the cache removes (the bench gate demands a ≥ 5× reduction
-    /// on warm triangles).
+    /// …tuples sorted by full cold builds. A throwaway build per walk
+    /// would re-count every live tuple on every walk; on warm triangles
+    /// the cache measured about half that count (strictly fewer is all
+    /// any gate ever required).
     pub index_build_tuples: u64,
     /// Collected `println` output (order not significant).
     pub output: Vec<String>,
@@ -147,8 +147,7 @@ impl RunReport {
     }
 
     /// Fraction of cursor opens served from the index cache:
-    /// `hits / (hits + misses)`. 0.0 when no join walk opened a cursor
-    /// (or the cache is off — every open is then a miss).
+    /// `hits / (hits + misses)`. 0.0 when no join walk opened a cursor.
     pub fn index_cache_hit_rate(&self) -> f64 {
         let total = self.index_cache_hits + self.index_cache_misses;
         if total > 0 {

@@ -2,7 +2,6 @@
 //! worker thread sees, and the put → Delta / Gamma → trigger path that
 //! both the coordinator and the rule contexts drive.
 
-use super::config::JoinStrategy;
 use crate::delta::ShardedInbox;
 use crate::error::JStarError;
 use crate::gamma::{ColumnCursor, ColumnIndex, Gamma, InsertOutcome};
@@ -103,7 +102,6 @@ pub(crate) struct RunState {
     pub(super) errors: Mutex<Vec<JStarError>>,
     pub(super) stats: EngineStats,
     pub(super) pool: Option<Arc<ThreadPool>>,
-    pub(super) join_strategy: JoinStrategy,
 }
 
 impl RunState {
@@ -132,6 +130,9 @@ impl RunState {
 pub(super) fn put_tuple(state: &RunState, trigger_key: &OrderKey, rule: &str, t: Tuple) {
     let table = t.table();
     let ti = table.index();
+    // ord: Relaxed — every stat bump in this file is a monotonic
+    // statistics counter; nothing is published through it, and it is
+    // read only after the run's final pool join.
     state.stats.tables[ti].puts.fetch_add(1, Ordering::Relaxed);
 
     if state.type_check {
@@ -173,6 +174,7 @@ pub(super) fn process_tuple(state: &RunState, key: &OrderKey, t: Tuple) {
     } else {
         match state.gamma.insert(t.clone()) {
             InsertOutcome::Fresh => {
+                // ord: Relaxed — statistics counter, read after the run.
                 state.stats.tables[ti]
                     .gamma_fresh
                     .fetch_add(1, Ordering::Relaxed);
@@ -181,6 +183,7 @@ pub(super) fn process_tuple(state: &RunState, key: &OrderKey, t: Tuple) {
             InsertOutcome::Duplicate => {
                 // Set-oriented semantics: duplicates neither re-trigger
                 // rules nor re-enter Gamma (§6.2's SumMonth dedup).
+                // ord: Relaxed — statistics counter, read after the run.
                 state.stats.tables[ti]
                     .gamma_dups
                     .fetch_add(1, Ordering::Relaxed);
@@ -198,6 +201,7 @@ pub(super) fn process_tuple(state: &RunState, key: &OrderKey, t: Tuple) {
     if !fresh {
         return;
     }
+    // ord: Relaxed — statistics counter, read after the run.
     state.stats.tables[ti].triggers.fetch_add(
         state.program.rules_by_trigger()[ti].len() as u64,
         Ordering::Relaxed,
@@ -250,6 +254,7 @@ pub(super) fn process_class_chunk(state: &RunState, key: &OrderKey, chunk: &[Tup
             }
         }
     }
+    // ord: Relaxed — per-chunk statistics counters, read after the run.
     let stats = &state.stats.tables[ti];
     if fresh > 0 {
         stats.gamma_fresh.fetch_add(fresh, Ordering::Relaxed);
@@ -273,11 +278,11 @@ pub(super) fn process_class_chunk(state: &RunState, key: &OrderKey, chunk: &[Tup
 ///
 /// Phase A inserts the class into Gamma in one batch and keeps the fresh
 /// tuples (in class order). Phase B runs each triggered rule over the
-/// fresh set: rules carrying a [`JoinPlan`] are executed as one batched
-/// join — the fresh tuples are grouped by their join-key values and
-/// Gamma is probed **once per distinct key** instead of once per tuple,
-/// with the distinct-key groups fanned out across pool workers — while
-/// opaque rules fall back to per-tuple firing over the same fresh set.
+/// fresh set: rules carrying a keyed [`JoinPlan`] are executed as one
+/// batched leapfrog walk (see [`run_join_rule`]), with the sorted key
+/// groups fanned out across pool workers, while opaque rules — and plans
+/// with a keyless stage, which are cross joins with nothing for a cursor
+/// to seek on — fall back to per-tuple firing over the same fresh set.
 ///
 /// This is a valid serialization of the per-tuple schedule: parallel
 /// per-tuple execution already inserts each chunk before firing its
@@ -319,6 +324,7 @@ pub(super) fn process_class_delta_join(
                 }
             }
         }
+        // ord: Relaxed — per-class statistics counters, read after the run.
         let stats = &state.stats.tables[ti];
         if nf > 0 {
             stats.gamma_fresh.fetch_add(nf, Ordering::Relaxed);
@@ -330,6 +336,7 @@ pub(super) fn process_class_delta_join(
     if fresh.is_empty() {
         return;
     }
+    // ord: Relaxed — statistics counter, read after the run.
     state.stats.tables[ti].triggers.fetch_add(
         fresh.len() as u64 * rules_here.len() as u64,
         Ordering::Relaxed,
@@ -339,10 +346,10 @@ pub(super) fn process_class_delta_join(
     for &ri in rules_here {
         let rule = &state.program.rules()[ri];
         match &rule.plan {
-            Some(plan) => run_join_rule(state, key, rule, plan, &fresh, pool),
-            None => {
-                // Opaque body: per-tuple firing is its only defined
-                // execution (same context reuse as `fire_rules`).
+            Some(plan) if plan.is_keyed() => run_join_rule(state, key, rule, plan, &fresh, pool),
+            _ => {
+                // Opaque body or cross join: per-tuple firing (same
+                // context reuse as `fire_rules`).
                 let ctx = RuleCtx::new(state, key, &rule.name);
                 for t in &fresh {
                     (rule.body)(&ctx, t);
@@ -352,26 +359,21 @@ pub(super) fn process_class_delta_join(
     }
 }
 
-/// One join-plan rule over a class's fresh tuples.
+/// One keyed join-plan rule over a class's fresh tuples: a leapfrog
+/// walk over sorted column cursors.
 ///
-/// The build side is always the same: the delta is grouped by its
-/// stage-0 join-key values (a BTreeMap — `Value` is `Ord` but not
-/// `Hash`, and **sorted** group order is what the leapfrog walk
-/// leapfrogs over). The probe side follows
-/// [`super::EngineConfig::join_strategy`]:
+/// The delta is grouped by its stage-0 join-key values (a BTreeMap —
+/// `Value` is `Ord` but not `Hash`, and **sorted** group order is what
+/// the walk leapfrogs over). One sorted column cursor is opened per
+/// stage (one store pass each, or a cache hit), and every worker walks
+/// its share of the groups against the stage-0 cursor with seek/next
+/// motions, descending through later stages with per-row cursor seeks.
+/// Store work per class is `stages` cursor opens plus the counted
+/// gallops, instead of one probe per trigger tuple.
 ///
-/// * [`JoinStrategy::Leapfrog`] — open one sorted column cursor per
-///   stage (one store pass each), then walk the sorted groups against
-///   the stage-0 cursor with seek/next motions, descending through
-///   later stages with per-row cursor seeks. Store work per class is
-///   `stages` cursor opens plus the counted gallops, instead of one
-///   probe per distinct key.
-/// * [`JoinStrategy::HashProbe`] — the PR 8 pass: one indexed Gamma
-///   probe per distinct stage-0 key, later stages probed per row
-///   combination.
-///
-/// Emissions are identical; set semantics and the Law of Causality make
-/// the difference unobservable downstream (prop-tested).
+/// Emissions equal the per-tuple body's; set semantics and the Law of
+/// Causality make the schedule difference unobservable downstream
+/// (prop-tested).
 fn run_join_rule(
     state: &RunState,
     key: &OrderKey,
@@ -380,6 +382,7 @@ fn run_join_rule(
     fresh: &[&Tuple],
     pool: Option<&ThreadPool>,
 ) {
+    // ord: Relaxed — statistics counter, read after the run.
     state
         .stats
         .delta_join_build_tuples
@@ -397,26 +400,6 @@ fn run_join_rule(
     }
     let groups: Vec<(Vec<Value>, Vec<&Tuple>)> = grouped.into_iter().collect();
 
-    // A keyless stage is a cross join — nothing for a cursor to seek on.
-    let leapfrog = state.join_strategy == JoinStrategy::Leapfrog
-        && plan.stages.iter().all(|s| !s.keys.is_empty());
-    if leapfrog {
-        run_join_rule_leapfrog(state, key, rule, plan, &groups, pool);
-    } else {
-        run_join_rule_hash(state, key, rule, plan, &groups, pool);
-    }
-}
-
-/// Leapfrog probe side: one shared sorted cursor per stage, walked by
-/// every worker with private positions.
-fn run_join_rule_leapfrog(
-    state: &RunState,
-    key: &OrderKey,
-    rule: &Rule,
-    plan: &JoinPlan,
-    groups: &[(Vec<Value>, Vec<&Tuple>)],
-    pool: Option<&ThreadPool>,
-) {
     // One column view per stage, opened once per (rule × class) and
     // shared by every worker. Each open is one store pass, counted as a
     // query against the probed table so `gamma_probes` stays honest.
@@ -425,6 +408,8 @@ fn run_join_rule_leapfrog(
         .iter()
         .map(|s| {
             let sti = s.probe_table.index();
+            // ord: Relaxed — statistics counters; the cursor itself is
+            // shared through the `Arc` and the pool scope's join.
             state.stats.tables[sti]
                 .queries
                 .fetch_add(1, Ordering::Relaxed);
@@ -470,6 +455,7 @@ fn run_join_rule_leapfrog(
         }
         let seeks: u64 = cursors.iter().map(|c| c.seeks()).sum();
         if seeks > 0 {
+            // ord: Relaxed — statistics counter, read after the run.
             state.stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
         }
     };
@@ -486,7 +472,7 @@ fn run_join_rule_leapfrog(
                 );
             });
         }
-        _ => walk(groups),
+        _ => walk(&groups),
     }
 }
 
@@ -538,117 +524,6 @@ fn leapfrog_descend(
     for p in candidates {
         rows.push(p);
         leapfrog_descend(plan, cursors, stage_idx + 1, rows, ctx);
-        rows.pop();
-    }
-}
-
-/// Hash probe side (PR 8): one indexed Gamma probe per distinct
-/// stage-0 key, later stages probed once per partial row combination.
-fn run_join_rule_hash(
-    state: &RunState,
-    key: &OrderKey,
-    rule: &Rule,
-    plan: &JoinPlan,
-    groups: &[(Vec<Value>, Vec<&Tuple>)],
-    pool: Option<&ThreadPool>,
-) {
-    let stage0 = plan.first_stage();
-    let probe_one = |group_key: &[Value], members: &[&Tuple]| {
-        let mut q = Query::on(stage0.probe_table);
-        for (&(_, pf), v) in stage0.keys.iter().zip(group_key) {
-            q.add_eq(pf, v.clone());
-        }
-        // Same accounting as the per-tuple query path, but once per
-        // distinct key instead of once per trigger tuple — the probe
-        // reduction the RunReport counters expose.
-        let ctx = RuleCtx::new(state, key, &rule.name);
-        if plan.stages.len() == 1 {
-            hash_probe(state, &q, &mut |p| {
-                for &t in members {
-                    let rows = [t, p];
-                    if (plan.filter)(&rows) {
-                        (plan.emit)(&ctx, &rows);
-                    }
-                }
-            });
-        } else {
-            let mut candidates = Vec::new();
-            hash_probe(state, &q, &mut |p| candidates.push(p.clone()));
-            for &t in members {
-                for p in &candidates {
-                    let mut rows = vec![t.clone(), p.clone()];
-                    hash_descend(state, plan, 1, &mut rows, &ctx);
-                }
-            }
-        }
-    };
-
-    match pool {
-        Some(pool) if groups.len() > 1 => {
-            let chunk = jstar_pool::adaptive_chunk(pool, groups.len()).max(1);
-            let probe_one = &probe_one;
-            pool.scope(|s| {
-                s.spawn_batch(groups.chunks(chunk).map(|piece| {
-                    move |_: &jstar_pool::Scope<'_>| {
-                        for (k, members) in piece {
-                            probe_one(k, members);
-                        }
-                    }
-                }));
-            });
-        }
-        _ => {
-            for (k, members) in groups {
-                probe_one(k, members);
-            }
-        }
-    }
-}
-
-/// One counted, index-hinted Gamma probe.
-fn hash_probe(state: &RunState, q: &Query, f: &mut dyn FnMut(&Tuple)) {
-    let ti = q.table.index();
-    let use_index = state.plans[ti].query_uses_index(q);
-    let pstats = &state.stats.tables[ti];
-    pstats.queries.fetch_add(1, Ordering::Relaxed);
-    if use_index {
-        pstats.queries_indexed.fetch_add(1, Ordering::Relaxed);
-    }
-    state
-        .stats
-        .delta_join_probes
-        .fetch_add(1, Ordering::Relaxed);
-    state.gamma.query_hinted(q, use_index, &mut |p| {
-        f(p);
-        true
-    });
-}
-
-/// Stages ≥ 1 of the hash strategy: one probe per partial row.
-fn hash_descend(
-    state: &RunState,
-    plan: &JoinPlan,
-    stage_idx: usize,
-    rows: &mut Vec<Tuple>,
-    ctx: &RuleCtx<'_>,
-) {
-    if stage_idx == plan.stages.len() {
-        let refs: Vec<&Tuple> = rows.iter().collect();
-        if (plan.filter)(&refs) {
-            (plan.emit)(ctx, &refs);
-        }
-        return;
-    }
-    let stage = &plan.stages[stage_idx];
-    let mut q = Query::on(stage.probe_table);
-    for &((row, f), pf) in &stage.keys {
-        q.add_eq(pf, rows[row].get(f).clone());
-    }
-    let mut candidates = Vec::new();
-    hash_probe(state, &q, &mut |p| candidates.push(p.clone()));
-    for p in candidates {
-        rows.push(p);
-        hash_descend(state, plan, stage_idx + 1, rows, ctx);
         rows.pop();
     }
 }

@@ -30,14 +30,15 @@
 //! ([`super::BTreeStore`], custom stores) report no stamp and stay on
 //! the cold path.
 //!
+//! Caching is unconditional, and catch-up runs lazily, on the opening
+//! walk.
+//!
 //! Concurrency: one mutex per table guards that table's `field → entry`
 //! map, and the build/catch-up runs *under* the lock — racing openers of
 //! the same table serialize, and the loser gets a pure hit instead of
-//! duplicating the sort. Eager-refresh jobs (the coordinator's maintain
-//! phase submits them on the pool's background lane) take the same lock,
-//! so they are ordinary racing openers; the happens-before edge that
-//! makes the suffix walk sound is the claim journal's own publish
-//! protocol (see CONCURRENCY.md protocol 6).
+//! duplicating the sort. The happens-before edge that makes the suffix
+//! walk sound is the claim journal's own publish protocol (see
+//! CONCURRENCY.md protocol 6).
 
 use super::cursor::ColumnIndex;
 use super::TableStore;
@@ -49,23 +50,6 @@ use crate::value::Value;
 use jstar_check::sync::{AtomicU64, Mutex, Ordering};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// When (and whether) Gamma caches column indexes — see
-/// [`crate::engine::EngineConfig::index_cache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexCachePolicy {
-    /// Every `open_cursor` is a cold build (PR 9 behaviour). The build
-    /// counters still tick so cold/warm A/B comparisons stay honest.
-    Off,
-    /// Cache on first open; later opens catch up on the journal suffix.
-    /// The catch-up cost lands on the opening walk.
-    #[default]
-    OnDemand,
-    /// `OnDemand`, plus the coordinator's maintain phase submits
-    /// background refresh jobs so stale entries catch up *behind* the
-    /// execute window and join-heavy classes find warm indexes.
-    EagerRefresh,
-}
 
 /// The validity stamp of a cached column view — see the module docs for
 /// what each component invalidates.
@@ -87,8 +71,8 @@ pub struct IndexStamp {
 pub struct IndexCacheStats {
     /// Opens served from a cached entry (including after a catch-up).
     pub hits: u64,
-    /// Opens that built from scratch (cache off, uncacheable store,
-    /// empty slot, or wholesale invalidation).
+    /// Opens that built from scratch (uncacheable store, empty slot, or
+    /// wholesale invalidation).
     pub misses: u64,
     /// Tuples sorted+merged by journal-suffix catch-ups.
     pub catchup_tuples: u64,
@@ -105,7 +89,6 @@ struct CacheEntry {
 
 /// Per-[`super::Gamma`] cache: one `field → entry` map per table store.
 pub struct IndexCache {
-    policy: IndexCachePolicy,
     max_bytes_per_table: usize,
     tables: Vec<Mutex<HashMap<usize, CacheEntry>>>,
     clock: AtomicU64,
@@ -115,14 +98,14 @@ pub struct IndexCache {
     build_tuples: AtomicU64,
 }
 
-/// Default per-table byte bound — see
-/// [`crate::engine::EngineConfig::index_cache_max_bytes`].
+/// Per-table byte bound on cached column views; least-recently-used
+/// entries are evicted past it (the most recently built view always
+/// survives).
 pub const DEFAULT_INDEX_CACHE_MAX_BYTES: usize = 64 << 20;
 
 impl IndexCache {
-    pub(super) fn new(n_tables: usize, policy: IndexCachePolicy, max_bytes: usize) -> IndexCache {
+    pub(super) fn new(n_tables: usize, max_bytes: usize) -> IndexCache {
         IndexCache {
-            policy,
             max_bytes_per_table: max_bytes,
             tables: (0..n_tables).map(|_| Mutex::new(HashMap::new())).collect(),
             clock: AtomicU64::new(0),
@@ -131,11 +114,6 @@ impl IndexCache {
             catchup_tuples: AtomicU64::new(0),
             build_tuples: AtomicU64::new(0),
         }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> IndexCachePolicy {
-        self.policy
     }
 
     /// Counter snapshot (monotone over the cache's lifetime).
@@ -149,17 +127,6 @@ impl IndexCache {
         }
     }
 
-    /// Tables that currently hold at least one cached entry — what the
-    /// coordinator fans eager-refresh jobs over.
-    pub fn cached_tables(&self) -> Vec<usize> {
-        self.tables
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !m.lock().is_empty())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// The open path behind [`super::Gamma::open_cursor`].
     pub(super) fn open(
         &self,
@@ -167,10 +134,8 @@ impl IndexCache {
         field: usize,
         store: &dyn TableStore,
     ) -> Arc<ColumnIndex> {
-        let cacheable = !matches!(self.policy, IndexCachePolicy::Off);
-        let stamp = if cacheable { store.index_stamp() } else { None };
-        let Some(stamp) = stamp else {
-            // Cold path — cache off or store without a claim journal.
+        let Some(stamp) = store.index_stamp() else {
+            // Cold path — a store without a claim journal.
             // ord: Relaxed ×2 — statistics only.
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.build_tuples
@@ -233,38 +198,6 @@ impl IndexCache {
         );
         evict_over_budget(&mut map, self.max_bytes_per_table);
         index
-    }
-
-    /// Catches up (or drops) every cached entry of `table` — the body of
-    /// an eager-refresh job. Counts catch-up tuples but neither hits nor
-    /// misses: a refresh is maintenance, not a lookup.
-    pub(super) fn refresh(&self, table: usize, store: &dyn TableStore) {
-        let Some(stamp) = store.index_stamp() else {
-            return;
-        };
-        let mut map = self.tables[table].lock();
-        map.retain(|&field, e| {
-            let valid = e.stamp.epoch == stamp.epoch
-                && e.stamp.tombstones == stamp.tombstones
-                && stamp.generation >= e.stamp.generation;
-            if !valid {
-                // Wholesale invalidation: drop rather than rebuild — the
-                // next open decides whether the view is still wanted.
-                return false;
-            }
-            if stamp.generation > e.stamp.generation {
-                let (new_groups, covered, n) =
-                    suffix_groups(store, field, e.stamp.generation, stamp.generation);
-                if n > 0 {
-                    e.index = Arc::new(e.index.merge_suffix(new_groups));
-                    e.bytes = e.index.approx_bytes();
-                }
-                e.stamp.generation = covered;
-                // ord: Relaxed — statistic only.
-                self.catchup_tuples.fetch_add(n as u64, Ordering::Relaxed);
-            }
-            true
-        });
     }
 }
 
@@ -330,7 +263,7 @@ mod tests {
         for i in 0..100 {
             s.insert(kt(i, i, "v"));
         }
-        let cache = IndexCache::new(1, IndexCachePolicy::OnDemand, usize::MAX);
+        let cache = IndexCache::new(1, usize::MAX);
         let a = cache.open(0, 0, &s);
         let b = cache.open(0, 0, &s);
         assert!(Arc::ptr_eq(&a, &b), "warm open returns the cached Arc");
@@ -348,7 +281,7 @@ mod tests {
         for i in 0..80 {
             s.insert(kt(1000 - i, i, "v"));
         }
-        let cache = IndexCache::new(1, IndexCachePolicy::OnDemand, usize::MAX);
+        let cache = IndexCache::new(1, usize::MAX);
         let _ = cache.open(0, 0, &s);
         for i in 80..100 {
             s.insert(kt(1000 - i, i, "v"));
@@ -367,7 +300,7 @@ mod tests {
         for i in 0..50 {
             s.insert(kt(i, i, "v"));
         }
-        let cache = IndexCache::new(1, IndexCachePolicy::OnDemand, usize::MAX);
+        let cache = IndexCache::new(1, usize::MAX);
         let _ = cache.open(0, 0, &s);
         s.retain(&|t| t.int(0) % 2 == 0);
         let warm = cache.open(0, 0, &s);
@@ -382,36 +315,12 @@ mod tests {
         for i in 0..50 {
             s.insert(kt(i, i, "v"));
         }
-        let cache = IndexCache::new(1, IndexCachePolicy::OnDemand, usize::MAX);
+        let cache = IndexCache::new(1, usize::MAX);
         let _ = cache.open(0, 0, &s);
         s.retain(&|t| t.int(0) < 10);
         assert!(s.maybe_compact(0.1), "compaction must run");
         let warm = cache.open(0, 0, &s);
         assert_eq!(cache.stats().misses, 2);
-        assert_eq!(warm.groups(), s.open_cursor(0).groups());
-    }
-
-    #[test]
-    fn refresh_makes_the_next_open_a_pure_hit() {
-        let s = store();
-        for i in 0..60 {
-            s.insert(kt(i, i, "v"));
-        }
-        let cache = IndexCache::new(1, IndexCachePolicy::EagerRefresh, usize::MAX);
-        let _ = cache.open(0, 0, &s);
-        for i in 60..90 {
-            s.insert(kt(i, i, "v"));
-        }
-        cache.refresh(0, &s);
-        let st = cache.stats();
-        assert_eq!(st.catchup_tuples, 30);
-        let warm = cache.open(0, 0, &s);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(
-            cache.stats().catchup_tuples,
-            30,
-            "open after refresh catches up nothing"
-        );
         assert_eq!(warm.groups(), s.open_cursor(0).groups());
     }
 
@@ -422,27 +331,11 @@ mod tests {
             s.insert(kt(i, i, "v"));
         }
         // Budget of one byte: every insert evicts the other entry.
-        let cache = IndexCache::new(1, IndexCachePolicy::OnDemand, 1);
+        let cache = IndexCache::new(1, 1);
         let _ = cache.open(0, 0, &s);
         let _ = cache.open(0, 1, &s);
         let m = cache.tables[0].lock();
         assert_eq!(m.len(), 1, "over budget — LRU evicted");
         assert!(m.contains_key(&1), "newest entry survives");
-    }
-
-    #[test]
-    fn off_policy_never_caches_but_still_counts() {
-        let s = store();
-        for i in 0..40 {
-            s.insert(kt(i, i, "v"));
-        }
-        let cache = IndexCache::new(1, IndexCachePolicy::Off, usize::MAX);
-        let _ = cache.open(0, 0, &s);
-        let _ = cache.open(0, 0, &s);
-        let st = cache.stats();
-        assert_eq!(st.hits, 0);
-        assert_eq!(st.misses, 2);
-        assert_eq!(st.build_tuples, 80);
-        assert!(cache.cached_tables().is_empty());
     }
 }

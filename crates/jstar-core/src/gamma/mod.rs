@@ -20,9 +20,7 @@ mod hash;
 mod reservation;
 
 pub use btree::BTreeStore;
-pub use cache::{
-    IndexCache, IndexCachePolicy, IndexCacheStats, IndexStamp, DEFAULT_INDEX_CACHE_MAX_BYTES,
-};
+pub use cache::{IndexCache, IndexCacheStats, IndexStamp, DEFAULT_INDEX_CACHE_MAX_BYTES};
 pub use cursor::{ColumnCursor, ColumnIndex};
 
 /// Factory closure for [`StoreKind::Custom`].
@@ -361,35 +359,16 @@ impl Gamma {
         for (d, k) in defs.iter().zip(kinds) {
             stores.push(k.try_build(Arc::clone(d))?);
         }
-        let index_cache = IndexCache::new(
-            stores.len(),
-            IndexCachePolicy::default(),
-            DEFAULT_INDEX_CACHE_MAX_BYTES,
-        );
+        let index_cache = IndexCache::new(stores.len(), DEFAULT_INDEX_CACHE_MAX_BYTES);
         Ok(Gamma {
             stores,
             index_cache,
         })
     }
 
-    /// Replaces the index-cache policy and byte bound. Construction-time
-    /// only (the engine applies [`crate::engine::EngineConfig`] before
-    /// any worker exists); swapping the cache mid-run would discard the
-    /// counters a report in flight is about to read.
-    pub fn configure_index_cache(&mut self, policy: IndexCachePolicy, max_bytes: usize) {
-        self.index_cache = IndexCache::new(self.stores.len(), policy, max_bytes);
-    }
-
-    /// The column-view cache (counter snapshots, refresh fan-out).
+    /// The column-view cache (counter snapshots).
     pub fn index_cache(&self) -> &IndexCache {
         &self.index_cache
-    }
-
-    /// Catches up every cached column view of `table` — the body of one
-    /// eager-refresh job (see `IndexCache::refresh`).
-    pub fn refresh_indexes(&self, table: TableId) {
-        self.index_cache
-            .refresh(table.index(), self.stores[table.index()].as_ref());
     }
 
     /// Builds Gamma from per-table store kinds (indexed by `TableId`).
@@ -451,10 +430,10 @@ impl Gamma {
     }
 
     /// Opens a sorted per-column join view over `table`, served from the
-    /// generation-stamped [`IndexCache`] when the policy and the store's
-    /// [`TableStore::index_stamp`] allow — a warm entry catches up by
-    /// sorting only the claim-journal suffix since its stamp. Cold falls
-    /// back to [`TableStore::open_cursor`].
+    /// generation-stamped [`IndexCache`] when the store reports a
+    /// [`TableStore::index_stamp`] — a warm entry catches up by sorting
+    /// only the claim-journal suffix since its stamp. A store without a
+    /// claim journal takes the cold [`TableStore::open_cursor`] path.
     pub fn open_cursor(&self, table: TableId, field: usize) -> Arc<ColumnIndex> {
         self.index_cache
             .open(table.index(), field, self.stores[table.index()].as_ref())

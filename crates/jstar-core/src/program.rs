@@ -236,13 +236,16 @@ impl ProgramBuilder {
     /// Unlike [`ProgramBuilder::rule_rel`], the registered rule carries
     /// an inspectable [`crate::rule::JoinPlan`] alongside the
     /// synthesized per-tuple body. That shape is what lets the engine
-    /// execute a whole extracted class as **one batched hash join**
-    /// against Gamma (grouping the class by its join-key values and
-    /// probing once per distinct key) when the class clears
-    /// [`crate::engine::EngineConfig::delta_join_threshold`]; below the
-    /// threshold, or wherever batching is disabled, the per-tuple body
-    /// runs instead. Both paths are built from the same plan parts, so
-    /// they emit identical tuples.
+    /// execute a whole extracted class as **one leapfrog walk** against
+    /// a sorted column cursor on `S` (grouping the class by its join-key
+    /// values and seeking the cursor group by group) when the class
+    /// clears [`crate::engine::EngineConfig::delta_join_threshold`];
+    /// below the threshold, or wherever batching is disabled, the
+    /// per-tuple body runs instead. An `on` with no key pair
+    /// (`JoinOn::new()` alone) is a cross join: it has no column to walk,
+    /// so it always runs the per-tuple body, whatever the class size.
+    /// Both paths are built from the same plan parts, so they emit
+    /// identical tuples.
     ///
     /// Strict validation flags the missing causality model; use
     /// [`ProgramBuilder::rule_rel_join_with_model`] to attach one.

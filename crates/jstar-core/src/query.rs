@@ -22,7 +22,8 @@
 //!   and `rule_rel_join2`, whose inspectable plans the engine lowers
 //!   onto the same merged-cursor walk when a wide class executes as a
 //!   batched delta-join
-//!   (see [`crate::engine::EngineConfig::join_strategy`]).
+//!   (see [`crate::engine::EngineConfig::delta_join_threshold`]); a
+//!   plan with a keyless stage is a cross join and fires per tuple.
 //!
 //! **The variable order is fixed, never optimized.** Relations
 //! intersect in the order the builder declares them, each keyed on the
@@ -155,8 +156,7 @@ impl Query {
 
     /// Adds `field == value` in place — the non-consuming twin of
     /// [`Query::eq`] for callers assembling a query inside a loop, such
-    /// as the delta-join runtime building one probe per distinct key
-    /// group of an extracted class.
+    /// as a join rule's per-tuple body building one probe per stage.
     pub fn add_eq(&mut self, field: usize, value: Value) {
         self.eq.push((field, value));
     }

@@ -69,10 +69,11 @@ impl JoinStage {
 /// **delta-join execution** when the class clears
 /// [`crate::engine::EngineConfig::delta_join_threshold`]: one
 /// coordinated leapfrog walk over sorted column cursors per class
-/// (or one batched hash probe per distinct key under the
-/// `JoinStrategy::HashProbe` fallback) instead of one indexed probe per
-/// tuple. The synthesized per-tuple body remains the below-threshold
-/// fallback, and every mode produces the same emissions.
+/// instead of one indexed probe per tuple. The synthesized per-tuple
+/// body remains the below-threshold fallback, and it is also the only
+/// execution of a plan with a keyless stage: such a stage is a cross
+/// join with no column for a cursor to seek on, so the class fires per
+/// tuple at any size. Every mode produces the same emissions.
 pub struct JoinPlan {
     /// The probe stages, in fixed variable order.
     pub stages: Vec<JoinStage>,
@@ -86,6 +87,13 @@ impl JoinPlan {
     /// The first stage's probe table (every plan has at least one stage).
     pub fn first_stage(&self) -> &JoinStage {
         &self.stages[0]
+    }
+
+    /// True when every stage has at least one equi-join key — the plans
+    /// delta-join execution can walk with column cursors. A keyless
+    /// stage makes the plan a cross join, which always fires per tuple.
+    pub(crate) fn is_keyed(&self) -> bool {
+        self.stages.iter().all(|s| !s.keys.is_empty())
     }
 }
 

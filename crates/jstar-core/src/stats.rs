@@ -112,9 +112,6 @@ pub struct EngineStats {
     /// [`crate::engine::EngineConfig::delta_join_threshold`] and the
     /// trigger table had a join-plan rule).
     pub delta_join_classes: AtomicU64,
-    /// Batched Gamma probes issued by delta-join execution — one per
-    /// (rule × distinct join-key group).
-    pub delta_join_probes: AtomicU64,
     /// Trigger tuples folded into delta-join build tables (the delta
     /// side of the semi-naive join).
     pub delta_join_build_tuples: AtomicU64,
@@ -145,7 +142,6 @@ impl EngineStats {
             inline_classes: AtomicU64::new(0),
             forked_classes: AtomicU64::new(0),
             delta_join_classes: AtomicU64::new(0),
-            delta_join_probes: AtomicU64::new(0),
             delta_join_build_tuples: AtomicU64::new(0),
             join_seeks: AtomicU64::new(0),
             join_cursor_opens: AtomicU64::new(0),

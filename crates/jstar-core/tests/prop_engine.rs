@@ -261,6 +261,33 @@ fn join2_program(dims: i64, srcs: i64, key_mod: i64, filt: i64, nested_loop: boo
     Arc::new(p.build().unwrap())
 }
 
+/// A one-stage **cross join**: `Src × Dim` through a
+/// [`ProgramBuilder::rule_rel_join`] whose `on` has no key pair, with a
+/// residual filter. `Src` pops as one wide class, so the class clears
+/// any small delta-join threshold.
+fn cross_program(dims: i64, srcs: i64, filt: i64) -> Arc<Program> {
+    let mut p = ProgramBuilder::new();
+    p.relation::<Dim>();
+    p.relation::<Src>();
+    p.relation::<Out>();
+    p.order(&["Dim", "Src", "Out"]);
+    p.rule_rel_join(
+        "cross",
+        JoinOn::new(),
+        move |s: &Src, d: &Dim| (s.v + d.w).rem_euclid(filt) != 0,
+        |ctx, s: &Src, d: &Dim| {
+            ctx.put_rel(Out { a: s.v, b: d.w });
+        },
+    );
+    for i in 0..dims {
+        p.put_rel(Dim { k: i, w: i * 3 });
+    }
+    for i in 0..srcs {
+        p.put_rel(Src { k: i, v: i });
+    }
+    Arc::new(p.build().unwrap())
+}
+
 /// Collects every Gamma tuple of every table, sorted — the canonical form
 /// compared across engine configurations.
 fn canonical_gamma(engine: &Engine) -> Vec<Tuple> {
@@ -272,16 +299,22 @@ fn canonical_gamma(engine: &Engine) -> Vec<Tuple> {
     all
 }
 
-/// Walks a fresh field-0 cursor over every table and collects the visible
-/// `(value, group)` pairs — what a join walk would actually see through
-/// the index cache. Group-internal order is journal (insertion) order,
-/// which differs across runs at different thread counts, so groups are
-/// sorted before comparison; the *set* of values and each value's tuple
-/// multiset must be identical whatever the cache policy.
-fn cursor_groups(engine: &Engine) -> Vec<(Value, Vec<Tuple>)> {
+/// Walks a field-0 cursor over every table and collects the visible
+/// `(value, group)` pairs — through the index cache (what a join walk
+/// would actually see) or, with `cold`, from a fresh build straight off
+/// the store. Group-internal order is journal (insertion) order, which
+/// differs across runs at different thread counts, so groups are sorted
+/// before comparison; the *set* of values and each value's tuple
+/// multiset must be identical either way.
+fn cursor_groups(engine: &Engine, cold: bool) -> Vec<(Value, Vec<Tuple>)> {
     let mut all = Vec::new();
     for i in 0..engine.program().defs().len() {
-        let idx = engine.gamma().open_cursor(TableId(i as u32), 0);
+        let t = TableId(i as u32);
+        let idx = if cold {
+            engine.gamma().store(t).open_cursor(0)
+        } else {
+            engine.gamma().open_cursor(t, 0)
+        };
         let mut c = idx.cursor();
         while let (Some(k), Some(g)) = (c.key(), c.group()) {
             let mut g = g.to_vec();
@@ -496,7 +529,7 @@ proptest! {
 
     /// Semi-naive delta-join execution is a pure execution-strategy
     /// change: for random two-stage join programs, the batched mode
-    /// (grouped Gamma probes per class) produces **bit-identical pop
+    /// (one leapfrog walk per class) produces **bit-identical pop
     /// schedules** to per-tuple firing — same step count, same tuple
     /// count, same Gamma fixpoint, same content hash — sequentially and
     /// at every thread count, with the opaque `mirror` rule riding in
@@ -521,18 +554,9 @@ proptest! {
         let want = canonical_gamma(&base);
         let want_hash = base.content_hash();
 
-        // Both join strategies must be invisible: the leapfrog walk
-        // (default) and the PR 8 hash-probe pass are pure execution-
-        // strategy changes over the same canonical staging.
         let configs = [
             EngineConfig::sequential().delta_join_from(threshold),
-            EngineConfig::sequential()
-                .join_strategy(JoinStrategy::HashProbe)
-                .delta_join_from(threshold),
             EngineConfig::parallel(threads).delta_join_from(threshold),
-            EngineConfig::parallel(threads)
-                .join_strategy(JoinStrategy::HashProbe)
-                .delta_join_from(threshold),
             EngineConfig::parallel(threads)
                 .pipelined(true)
                 .parallel_merge_from(1)
@@ -578,7 +602,7 @@ proptest! {
 
     /// `join()` lowering equivalence: for random two-stage join
     /// programs, the typed join-rule lowering (two-stage plan, batched
-    /// delta-join eligible, leapfrog or hash strategy) produces exactly
+    /// delta-join eligible, lowered onto the leapfrog walk) produces exactly
     /// the hand-written nested-loop lowering's results — same Gamma
     /// fixpoint, same content hash, and **bit-identical pop schedules**
     /// — sequentially, in parallel, and under the pipelined coordinator
@@ -602,9 +626,6 @@ proptest! {
 
         let configs = [
             EngineConfig::sequential().delta_join_from(threshold),
-            EngineConfig::sequential()
-                .join_strategy(JoinStrategy::HashProbe)
-                .delta_join_from(threshold),
             EngineConfig::parallel(threads).delta_join_from(threshold),
             EngineConfig::parallel(threads)
                 .pipelined(true)
@@ -640,14 +661,16 @@ proptest! {
     /// The generation-stamped index cache is a pure execution-strategy
     /// change: for random two-stage join programs — with a lifetime hint
     /// on the probe table so retain/compaction interleaves with the join
-    /// walks mid-run — every cache policy (`Off`, `OnDemand`,
-    /// `EagerRefresh`) produces **bit-identical pop schedules** (same
-    /// step count, same tuple count), the same Gamma fixpoint, the same
-    /// content hash, and the same cursor-visible group sets, at 1/4/8
-    /// threads × pipelining off/on. The hint tombstones (and, past
-    /// the compaction threshold, epoch-bumps) the very table whose
-    /// cached views the join keeps reopening, so wholesale invalidation
-    /// and journal-suffix catch-up both run under live traffic.
+    /// walks mid-run — the cached leapfrog walk produces **bit-identical
+    /// pop schedules** (same step count, same tuple count), the same
+    /// Gamma fixpoint and the same content hash as sequential per-tuple
+    /// firing, which opens no cursor at all, at 1/4/8 threads ×
+    /// pipelining off/on. In each engine the cursor groups served by
+    /// the cache must equal a cold build straight from the store. The
+    /// hint tombstones (and, past the compaction threshold,
+    /// epoch-bumps) the very table whose cached views the join keeps
+    /// reopening, so wholesale invalidation and journal-suffix catch-up
+    /// both run under live traffic.
     #[test]
     fn cached_index_matches_cold_build(
         dims in 4i64..30,
@@ -664,7 +687,7 @@ proptest! {
         // Dim has no producing rules, so retaining away some of its
         // tuples mid-run is deterministic (nothing re-derives them) and
         // directly invalidates the cached views the join walks reopen.
-        let configure = move |c: EngineConfig| {
+        let configure = move |c: EngineConfig, threshold: usize| {
             c.delta_join_from(threshold)
                 .lifetime_hint(dim, 2, move |t| t.int(1).rem_euclid(hint_keep_mod) != 0)
                 .compact_tombstones_above(0.2)
@@ -672,61 +695,96 @@ proptest! {
 
         let mut base = Engine::new(
             Arc::clone(&prog),
-            configure(EngineConfig::sequential().index_cache(IndexCachePolicy::Off)),
+            configure(EngineConfig::sequential(), usize::MAX),
+        );
+        let base_report = base.run().unwrap();
+        prop_assert_eq!(base_report.join_cursor_opens, 0, "per-tuple reference");
+        let want = canonical_gamma(&base);
+        let want_hash = base.content_hash();
+
+        for pipelined in [false, true] {
+            let config = if threads == 1 && !pipelined {
+                EngineConfig::sequential()
+            } else {
+                EngineConfig::parallel(threads)
+                    .pipelined(pipelined)
+                    .parallel_merge_from(1)
+            };
+            let mut eng = Engine::new(Arc::clone(&prog), configure(config, threshold));
+            let report = eng.run().unwrap();
+            let got = canonical_gamma(&eng);
+            prop_assert_eq!(
+                &got, &want,
+                "gamma diverged ({} threads, pipelined {})",
+                threads, pipelined
+            );
+            prop_assert_eq!(
+                eng.content_hash(),
+                want_hash,
+                "content hash diverged ({} threads, pipelined {})",
+                threads, pipelined
+            );
+            prop_assert_eq!(
+                (report.steps, report.tuples_processed),
+                (base_report.steps, base_report.tuples_processed),
+                "pop schedule diverged ({} threads, pipelined {})",
+                threads, pipelined
+            );
+            prop_assert_eq!(
+                cursor_groups(&eng, false),
+                cursor_groups(&eng, true),
+                "cached cursor groups diverged from a cold build ({} threads, pipelined {})",
+                threads, pipelined
+            );
+        }
+    }
+
+    /// A join plan with a keyless stage is a cross join: there is no
+    /// column for a cursor to walk, so even a class at or above the
+    /// delta-join threshold fires it per tuple through the plan's
+    /// synthesized body. Results, content hash and pop schedule must
+    /// equal the per-tuple run's, and no cursor may be opened.
+    #[test]
+    fn keyless_join_fires_per_tuple(
+        dims in 1i64..12,
+        srcs in 1i64..20,
+        filt in 1i64..6,
+        threads in 2usize..5,
+        threshold in 1usize..6,
+    ) {
+        let prog = cross_program(dims, srcs, filt);
+
+        let mut base = Engine::new(
+            Arc::clone(&prog),
+            EngineConfig::sequential().delta_join_from(usize::MAX),
         );
         let base_report = base.run().unwrap();
         let want = canonical_gamma(&base);
         let want_hash = base.content_hash();
-        let want_groups = cursor_groups(&base);
 
-        for pipelined in [false, true] {
-            for policy in [
-                IndexCachePolicy::Off,
-                IndexCachePolicy::OnDemand,
-                IndexCachePolicy::EagerRefresh,
-            ] {
-                let config = if threads == 1 && !pipelined {
-                    EngineConfig::sequential()
-                } else {
-                    EngineConfig::parallel(threads)
-                        .pipelined(pipelined)
-                        .parallel_merge_from(1)
-                };
-                let mut eng = Engine::new(
-                    Arc::clone(&prog),
-                    configure(config.index_cache(policy)),
+        let configs = [
+            EngineConfig::sequential().delta_join_from(threshold),
+            EngineConfig::parallel(threads).delta_join_from(threshold),
+        ];
+        for (i, config) in configs.into_iter().enumerate() {
+            let mut eng = Engine::new(Arc::clone(&prog), config);
+            let report = eng.run().unwrap();
+            prop_assert_eq!(&canonical_gamma(&eng), &want, "gamma diverged (config {})", i);
+            prop_assert_eq!(eng.content_hash(), want_hash, "content hash diverged (config {})", i);
+            prop_assert_eq!(
+                (report.steps, report.tuples_processed),
+                (base_report.steps, base_report.tuples_processed),
+                "pop schedule diverged (config {})",
+                i
+            );
+            prop_assert_eq!(report.join_cursor_opens, 0, "a cross join opens no cursor");
+            if srcs as usize >= threshold {
+                prop_assert!(
+                    report.delta_join_classes > 0,
+                    "the class took the delta-join path (config {}): {:?}",
+                    i,
+                    report
                 );
-                let report = eng.run().unwrap();
-                let got = canonical_gamma(&eng);
-                prop_assert_eq!(
-                    &got, &want,
-                    "gamma diverged ({:?}, {} threads, pipelined {})",
-                    policy, threads, pipelined
-                );
-                prop_assert_eq!(
-                    eng.content_hash(),
-                    want_hash,
-                    "content hash diverged ({:?}, {} threads, pipelined {})",
-                    policy, threads, pipelined
-                );
-                prop_assert_eq!(
-                    (report.steps, report.tuples_processed),
-                    (base_report.steps, base_report.tuples_processed),
-                    "pop schedule diverged ({:?}, {} threads, pipelined {})",
-                    policy, threads, pipelined
-                );
-                let groups = cursor_groups(&eng);
-                prop_assert_eq!(
-                    &groups, &want_groups,
-                    "cursor-visible groups diverged ({:?}, {} threads, pipelined {})",
-                    policy, threads, pipelined
-                );
-                if policy == IndexCachePolicy::Off {
-                    prop_assert_eq!(
-                        report.index_cache_hits, 0,
-                        "off policy must never hit"
-                    );
-                }
             }
         }
     }

@@ -19,6 +19,10 @@
 //! * **R4 `shim`** — files migrated onto `jstar_check::sync` must not
 //!   regress to `std::sync::atomic` or `parking_lot` anywhere, tests
 //!   included, or the model checker silently loses sight of them.
+//! * **R5 `stale-list`** — every path in [`R2_ALLOWLIST`] and
+//!   [`SHIM_MANDATED`] must exist under the linted root. A deleted or
+//!   renamed file would otherwise leave an entry that silently passes
+//!   (the tree walk only visits files that exist); reported at line 0.
 //!
 //! Any rule is waivable at a specific site with
 //! `// lint: allow(RULE): reason` on the line or within the three lines
@@ -60,7 +64,6 @@ impl fmt::Display for Finding {
 pub const R2_ALLOWLIST: &[&str] = &[
     "crates/jstar-core/src/engine/coordinator.rs",
     "crates/jstar-core/src/engine/ctx.rs",
-    "crates/jstar-core/src/engine/runtime.rs",
     "crates/jstar-pool/src/parfor.rs",
 ];
 
@@ -78,7 +81,6 @@ pub const SHIM_MANDATED: &[&str] = &[
     "crates/jstar-disruptor/src/ring.rs",
     "crates/jstar-disruptor/src/sequence.rs",
     "crates/jstar-disruptor/src/wait.rs",
-    "crates/jstar-pool/src/batch.rs",
     "crates/jstar-pool/src/latch.rs",
     "crates/jstar-pool/src/pool.rs",
     "crates/jstar-pool/src/scope.rs",
@@ -510,7 +512,28 @@ pub fn lint_tree(root: &Path) -> Vec<Finding> {
         };
         findings.extend(lint_source(&rel, &src));
     }
+    findings.extend(stale_list_entries(root));
     findings
+}
+
+/// **R5**: one finding per [`R2_ALLOWLIST`] / [`SHIM_MANDATED`] entry
+/// that names no file under `root`.
+fn stale_list_entries(root: &Path) -> Vec<Finding> {
+    let lists = [
+        ("R2_ALLOWLIST", R2_ALLOWLIST),
+        ("SHIM_MANDATED", SHIM_MANDATED),
+    ];
+    lists
+        .iter()
+        .flat_map(|&(list, paths)| paths.iter().map(move |&p| (list, p)))
+        .filter(|&(_, p)| !root.join(p).is_file())
+        .map(|(list, p)| Finding {
+            file: p.to_string(),
+            line: 0,
+            rule: "stale-list",
+            message: format!("listed in `{list}` but no such file exists; drop the entry"),
+        })
+        .collect()
 }
 
 /// CLI driver: prints findings, returns the process exit code.
@@ -669,6 +692,28 @@ mod tests {
     fn lifetimes_do_not_confuse_the_lexer() {
         let src = "fn f<'a>(x: &'a str) -> &'a str { x }\nfn g() -> char { 'x' }\nfn h() -> char { '\\'' }\n";
         assert!(lint_source(CORE, src).is_empty());
+    }
+
+    #[test]
+    fn missing_listed_files_are_reported() {
+        let root = std::env::temp_dir().join(format!("jstar-lint-stale-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let (gone_r2, gone_shim) = (R2_ALLOWLIST[0], SHIM_MANDATED[0]);
+        for &p in R2_ALLOWLIST.iter().chain(SHIM_MANDATED) {
+            if p != gone_r2 && p != gone_shim {
+                let path = root.join(p);
+                fs::create_dir_all(path.parent().unwrap()).unwrap();
+                fs::write(&path, "fn f() {}\n").unwrap();
+            }
+        }
+        let findings = lint_tree(&root);
+        let _ = fs::remove_dir_all(&root);
+        let stale: Vec<(&str, &str)> = findings.iter().map(|f| (f.file.as_str(), f.rule)).collect();
+        assert_eq!(
+            stale,
+            [(gone_r2, "stale-list"), (gone_shim, "stale-list")],
+            "exactly the two deleted files are reported"
+        );
     }
 
     #[test]

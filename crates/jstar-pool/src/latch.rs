@@ -167,8 +167,7 @@ mod tests {
 }
 
 /// Exhaustive interleaving checks for the latch protocol — the edge that
-/// publishes every scoped task's effects (foreground and background
-/// lane alike) to the scope owner. Run with
+/// publishes every scoped task's effects to the scope owner. Run with
 /// `cargo test -p jstar-pool --features model-check`.
 #[cfg(all(test, feature = "model-check"))]
 mod model_tests {
@@ -177,11 +176,10 @@ mod model_tests {
     use jstar_check::{thread, Checker};
     use std::sync::Arc;
 
-    /// One job result per lane, as `Scope::spawn` + `spawn_background_batch`
-    /// would produce them.
+    /// One result per task, as two `Scope::spawn`s would produce them.
     struct Jobs {
-        foreground: UnsafeCell<u64>,
-        background: UnsafeCell<u64>,
+        first: UnsafeCell<u64>,
+        second: UnsafeCell<u64>,
         latch: CountLatch,
     }
     // SAFETY: the cells are written only by their task before its latch
@@ -196,8 +194,8 @@ mod model_tests {
     fn wait_publishes_task_effects() {
         let report = Checker::new().check(|| {
             let jobs = Arc::new(Jobs {
-                foreground: UnsafeCell::new(0),
-                background: UnsafeCell::new(0),
+                first: UnsafeCell::new(0),
+                second: UnsafeCell::new(0),
                 latch: CountLatch::new(),
             });
             jobs.latch.increment();
@@ -205,14 +203,14 @@ mod model_tests {
                 let jobs = Arc::clone(&jobs);
                 thread::spawn(move || {
                     // SAFETY: unique writer; published by the decrement.
-                    jobs.foreground.with_mut(|p| unsafe { *p = 7 });
+                    jobs.first.with_mut(|p| unsafe { *p = 7 });
                     jobs.latch.decrement();
                 })
             };
             jobs.latch.wait();
             // SAFETY: latch observed clear — the task's write is ordered
             // before this read.
-            assert_eq!(jobs.foreground.with(|p| unsafe { *p }), 7);
+            assert_eq!(jobs.first.with(|p| unsafe { *p }), 7);
             worker.join();
         });
         report.assert_ok();
@@ -220,32 +218,32 @@ mod model_tests {
     }
 
     /// The owner's polling join (`Scope::completed` → `is_clear`) must
-    /// publish both lanes' effects: a foreground and a background-lane
-    /// job each write their result before decrementing, and the owner
-    /// spins on `is_clear` instead of parking.
+    /// publish the effects of two tasks: each writes its result before
+    /// decrementing, and the owner spins on `is_clear` instead of
+    /// parking.
     #[test]
     fn polling_join_publishes_both_lanes() {
         let report = Checker::new().check(|| {
             let jobs = Arc::new(Jobs {
-                foreground: UnsafeCell::new(0),
-                background: UnsafeCell::new(0),
+                first: UnsafeCell::new(0),
+                second: UnsafeCell::new(0),
                 latch: CountLatch::new(),
             });
             jobs.latch.increment();
             jobs.latch.increment();
-            let fg = {
+            let a = {
                 let jobs = Arc::clone(&jobs);
                 thread::spawn(move || {
                     // SAFETY: unique writer; published by the decrement.
-                    jobs.foreground.with_mut(|p| unsafe { *p = 1 });
+                    jobs.first.with_mut(|p| unsafe { *p = 1 });
                     jobs.latch.decrement();
                 })
             };
-            let bg = {
+            let b = {
                 let jobs = Arc::clone(&jobs);
                 thread::spawn(move || {
                     // SAFETY: unique writer; published by the decrement.
-                    jobs.background.with_mut(|p| unsafe { *p = 2 });
+                    jobs.second.with_mut(|p| unsafe { *p = 2 });
                     jobs.latch.decrement();
                 })
             };
@@ -255,10 +253,10 @@ mod model_tests {
             // SAFETY: latch observed clear — both decrements' Release
             // stores are acquired, ordering both writes before these
             // reads.
-            assert_eq!(jobs.foreground.with(|p| unsafe { *p }), 1);
-            assert_eq!(jobs.background.with(|p| unsafe { *p }), 2);
-            fg.join();
-            bg.join();
+            assert_eq!(jobs.first.with(|p| unsafe { *p }), 1);
+            assert_eq!(jobs.second.with(|p| unsafe { *p }), 2);
+            a.join();
+            b.join();
         });
         report.assert_ok();
         assert!(report.complete, "exploration hit a budget cap");

@@ -30,13 +30,11 @@
 //! assert_eq!(data[513], 1026);
 //! ```
 
-mod batch;
 mod latch;
 mod parfor;
 mod pool;
 mod scope;
 
-pub use batch::{submit_background, TaskBatch};
 pub use latch::CountLatch;
 pub use parfor::{
     adaptive_chunk, parallel_chunks, parallel_for, parallel_for_each, parallel_map,

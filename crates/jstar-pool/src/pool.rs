@@ -20,23 +20,11 @@ pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 pub(crate) struct Shared {
     /// Global FIFO queue that external threads (and helpers) submit to.
     injector: Injector<Job>,
-    /// Low-priority lane: jobs here are only taken when no foreground
-    /// work (local deque, injector, sibling steals) exists, so a
-    /// foreground submission effectively preempts everything queued
-    /// behind it. The engine uses this lane for Delta subtree builds
-    /// that should run on otherwise-idle workers *during* a step's
-    /// class execution without delaying the class's own chunks.
-    background: Injector<Job>,
     /// One stealer per worker's local LIFO deque.
     stealers: Vec<Stealer<Job>>,
-    /// Number of foreground jobs submitted but not yet started; used to
-    /// decide sleeping and as the adaptive chunking backlog signal.
+    /// Number of jobs submitted but not yet started; used to decide
+    /// sleeping and as the adaptive chunking backlog signal.
     pending: AtomicUsize,
-    /// Background jobs submitted but not yet started. Counted apart
-    /// from `pending` so [`ThreadPool::pending_jobs`] keeps meaning
-    /// "foreground backlog" — background work must not coarsen the
-    /// adaptive chunk decisions of execute-phase loops.
-    bg_pending: AtomicUsize,
     shutdown: AtomicBool,
     sleep_lock: Mutex<()>,
     sleep_cond: Condvar,
@@ -124,43 +112,6 @@ impl Shared {
         self.sleep_cond.notify_all();
     }
 
-    /// Pushes a batch of **background** jobs: they run only on threads
-    /// that found no foreground work, so anything pushed through
-    /// [`Shared::push`]/[`Shared::push_batch`] — before or after —
-    /// takes precedence. One wakeup for the whole batch, like
-    /// [`Shared::push_batch`].
-    pub(crate) fn push_background_batch(self: &Arc<Self>, jobs: Vec<Job>) {
-        if jobs.is_empty() {
-            return;
-        }
-        // ord: Release — pairs with the sleep check's Acquire load of
-        // `bg_pending`, exactly as `push` does for the foreground count.
-        self.bg_pending.fetch_add(jobs.len(), Ordering::Release);
-        for job in jobs {
-            self.background.push(job);
-        }
-        let _guard = self.sleep_lock.lock();
-        self.sleep_cond.notify_all();
-    }
-
-    /// Takes one background job, if any. Decrements the background
-    /// backlog counter on success.
-    fn pop_background(&self) -> Option<Job> {
-        loop {
-            match self.background.steal() {
-                Steal::Success(job) => {
-                    // ord: Release — the decrement must not be reordered
-                    // before the steal that claimed the job, so the count
-                    // never under-reports a job still in the queue.
-                    self.bg_pending.fetch_sub(1, Ordering::Release);
-                    return Some(job);
-                }
-                Steal::Empty => return None,
-                Steal::Retry => continue,
-            }
-        }
-    }
-
     /// Tries to take one job from anywhere: the local deque, the injector,
     /// or a sibling worker.
     pub(crate) fn find_job(&self, local: Option<&Worker<Job>>) -> Option<Job> {
@@ -205,26 +156,7 @@ impl Shared {
         let _ = panic::catch_unwind(AssertUnwindSafe(job));
     }
 
-    /// Runs a job whose backlog counter was already settled (background
-    /// jobs: [`Shared::pop_background`] decremented `bg_pending`).
-    fn run_counted_job(&self, job: Job) {
-        let _ = panic::catch_unwind(AssertUnwindSafe(job));
-    }
-
-    /// Finds one foreground job, falling back to the background lane
-    /// only when no foreground work exists anywhere — the property that
-    /// makes background tasks preemptible by execute-phase spawns. The
-    /// bool is true for a foreground job (whose `pending` entry is
-    /// still to be settled by [`Shared::run_job`]).
-    fn find_any_job(&self, local: Option<&Worker<Job>>) -> Option<(Job, bool)> {
-        if let Some(job) = self.find_job(local) {
-            return Some((job, true));
-        }
-        self.pop_background().map(|job| (job, false))
-    }
-
-    /// Executes one available job (foreground first, then background).
-    /// Returns false when no job was found or this thread's helping
+    /// Executes one available job. Returns false when no job was found or this thread's helping
     /// recursion is already at the depth cap (unless `force` overrides
     /// the cap to break a stall).
     pub(crate) fn try_help(&self, force: bool) -> bool {
@@ -234,18 +166,14 @@ impl Shared {
         let local_job = LOCAL.with(|slot| {
             let borrow = slot.borrow();
             match borrow.as_ref() {
-                Some((_, worker, _)) => self.find_any_job(Some(worker)),
-                None => self.find_any_job(None),
+                Some((_, worker, _)) => self.find_job(Some(worker)),
+                None => self.find_job(None),
             }
         });
         match local_job {
-            Some((job, foreground)) => {
+            Some(job) => {
                 HELP_DEPTH.with(|d| d.set(d.get() + 1));
-                if foreground {
-                    self.run_job(job);
-                } else {
-                    self.run_counted_job(job);
-                }
+                self.run_job(job);
                 HELP_DEPTH.with(|d| d.set(d.get() - 1));
                 true
             }
@@ -262,11 +190,10 @@ impl Shared {
                 let borrow = slot.borrow();
                 // lint: allow(expect): worker_loop installed the TLS slot before looping.
                 let (_, worker, _) = borrow.as_ref().expect("worker registered above");
-                self.find_any_job(Some(worker))
+                self.find_job(Some(worker))
             });
             match job {
-                Some((job, true)) => self.run_job(job),
-                Some((job, false)) => self.run_counted_job(job),
+                Some(job) => self.run_job(job),
                 None => {
                     // ord: Acquire — pairs with Drop's Release store; a
                     // worker that observes shutdown also observes every
@@ -277,13 +204,12 @@ impl Shared {
                     // Park until a push notifies us. The timeout guards
                     // against a lost wakeup between find_job and sleeping.
                     let mut guard = self.sleep_lock.lock();
-                    // ord: Acquire ×3 — pair with the submitters' Release
+                    // ord: Acquire ×2 — pair with the submitters' Release
                     // bumps (and Drop's Release store): reading 0/false
                     // here proves no submission predates this check, so
                     // sleeping cannot strand a job (the timed wait covers
                     // the remaining push-between-check-and-sleep window).
                     if self.pending.load(Ordering::Acquire) == 0
-                        && self.bg_pending.load(Ordering::Acquire) == 0
                         && !self.shutdown.load(Ordering::Acquire)
                     {
                         self.sleep_cond
@@ -320,10 +246,8 @@ impl ThreadPool {
         let stealers = workers.iter().map(|w| w.stealer()).collect();
         let shared = Arc::new(Shared {
             injector: Injector::new(),
-            background: Injector::new(),
             stealers,
             pending: AtomicUsize::new(0),
-            bg_pending: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             sleep_cond: Condvar::new(),
@@ -371,22 +295,14 @@ impl ThreadPool {
         })
     }
 
-    /// Number of submitted-but-not-yet-started **foreground** jobs — a
-    /// cheap occupancy signal. The engine's adaptive scheduler uses it to
-    /// pick chunk sizes: a backlog means smaller task counts (bigger
-    /// chunks) waste less time queuing. Background-lane jobs are counted
-    /// separately ([`ThreadPool::pending_background_jobs`]) precisely so
-    /// they never coarsen those decisions.
+    /// Number of submitted-but-not-yet-started jobs — a cheap occupancy
+    /// signal. The engine's adaptive scheduler uses it to pick chunk
+    /// sizes: a backlog means smaller task counts (bigger chunks) waste
+    /// less time queuing.
     pub fn pending_jobs(&self) -> usize {
         // ord: Acquire — pairs with the submitters' Release bumps so the
         // backlog signal is never fresher than the queues it describes.
         self.shared.pending.load(Ordering::Acquire)
-    }
-
-    /// Number of submitted-but-not-yet-started background-lane jobs.
-    pub fn pending_background_jobs(&self) -> usize {
-        // ord: Acquire — as in `pending_jobs`.
-        self.shared.bg_pending.load(Ordering::Acquire)
     }
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {

@@ -149,24 +149,6 @@ impl<'scope> Scope<'scope> {
         Arc::clone(self.pool.shared()).push_batch(jobs);
     }
 
-    /// Spawns a batch of **low-priority** tasks: they are joined by this
-    /// scope like any other spawn, but workers only pick them up when no
-    /// foreground work (including chunks spawned through
-    /// [`Scope::spawn_batch`]) is available — foreground submissions
-    /// preempt them by construction. This is the lane for work that
-    /// should soak up idle workers without delaying a step's critical
-    /// path, e.g. the engine's Delta subtree pre-builds during class
-    /// execution.
-    pub fn spawn_background_batch<F, I>(&self, fs: I)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-        I: IntoIterator<Item = F>,
-    {
-        let fs: Vec<F> = fs.into_iter().collect();
-        let jobs: Vec<Job> = fs.into_iter().map(|f| self.wrap(f)).collect();
-        Arc::clone(self.pool.shared()).push_background_batch(jobs);
-    }
-
     /// True when every task spawned on this scope (so far) has finished.
     ///
     /// Together with [`Scope::help`] and [`Scope::wait_timeout`] this
@@ -178,8 +160,8 @@ impl<'scope> Scope<'scope> {
         self.state.latch.is_clear()
     }
 
-    /// Executes one queued pool job if any is available (foreground
-    /// first, then the background lane). Returns false when there was
+    /// Executes one queued pool job if any is available. Returns false
+    /// when there was
     /// nothing to help with — the caller should then do its own pending
     /// work or park via [`Scope::wait_timeout`].
     pub fn help(&self) -> bool {
@@ -261,47 +243,6 @@ mod tests {
         assert!(result.is_err(), "the panic must propagate");
         // No task ever started: the latch was never incremented.
         assert_eq!(ran.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn foreground_spawns_preempt_background_tasks() {
-        use std::sync::{Arc, Barrier};
-        // One worker: queue a gate task to hold the worker, then a
-        // background task and a foreground task while it is held. On
-        // release the worker must take the foreground job first.
-        let pool = ThreadPool::new(1);
-        let gate = Arc::new(Barrier::new(2));
-        let fg_first = Arc::new(AtomicUsize::new(0));
-        let fg_done = Arc::new(AtomicUsize::new(0));
-        pool.scope(|s| {
-            let g = Arc::clone(&gate);
-            s.spawn(move |_| {
-                g.wait();
-            });
-            let fg_done2 = Arc::clone(&fg_done);
-            let fg_first2 = Arc::clone(&fg_first);
-            s.spawn_background_batch([move |_: &crate::Scope<'_>| {
-                // Background job observes whether foreground ran first.
-                // Acquire/Release (not SeqCst): a single flag handoff
-                // needs no total order across locations.
-                fg_first2.store(fg_done2.load(Ordering::Acquire), Ordering::Release);
-            }]);
-            let fg_done3 = Arc::clone(&fg_done);
-            s.spawn(move |_| {
-                fg_done3.store(1, Ordering::Release);
-            });
-            gate.wait();
-            // Do NOT help from this thread: helping would race the
-            // worker for the jobs. Just wait for completion.
-            while !s.completed() {
-                s.wait_timeout(std::time::Duration::from_millis(1));
-            }
-        });
-        assert_eq!(
-            fg_first.load(Ordering::Acquire),
-            1,
-            "the foreground spawn must run before the earlier background task"
-        );
     }
 
     #[test]
