@@ -16,7 +16,10 @@
 //! The same count is also available *after* the run as a read-side
 //! query: [`count_via_join3`] evaluates
 //! `join3::<Edge, Edge, Edge>()` with a leapfrog intersection over the
-//! stored half-edges — the query-layer face of the same walk.
+//! stored half-edges — the query-layer face of the same walk. That walk
+//! is split across the pool by vertex range, and closes each wedge by
+//! intersection: the edges into a vertex are sorted once by source, and
+//! each edge out of the wedge's far end binary-searches them.
 
 use jstar_core::jstar_table;
 use jstar_core::prelude::*;
@@ -247,9 +250,14 @@ pub fn run_jstar_report(spec: TriSpec, config: EngineConfig) -> Result<(u64, Run
 
 /// Counts triangles *after* a run as a read-side query: one ternary
 /// `join3::<Edge, Edge, Edge>()` over the stored half-edges, evaluated
-/// by [`Engine::join3_rel`]'s leapfrog walk. Each triangle appears in
-/// six half-edge orientations; the `x < y < z` filter keeps exactly
-/// one.
+/// by [`Engine::join3_rel`]'s leapfrog walk. `a` and `b` meet at a
+/// shared vertex (ranges of vertices walked on separate pool workers);
+/// each `b` edge's far end looks up its out-edges `c` once, and the
+/// closing pair `a.from == c.to` is intersected by binary search in
+/// the vertex's in-edges, sorted once per vertex. Each triangle appears
+/// in six half-edge orientations; the `x < y < z` filter keeps exactly
+/// one. The handful of matched rows is buffered per range and counted
+/// on the calling thread.
 pub fn count_via_join3(engine: &Engine) -> u64 {
     let mut count = 0u64;
     engine.join3_rel(
@@ -398,16 +406,28 @@ mod tests {
         let config = optimised_config(&app, EngineConfig::sequential());
         let mut engine = Engine::new(Arc::clone(&app.program), config);
         engine.run().unwrap();
-        let opens = |e: &Engine| {
-            e.stats()
-                .join_cursor_opens
-                .load(std::sync::atomic::Ordering::Relaxed)
-        };
-        let before = opens(&engine);
+        let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+        let (opens, seeks) = (
+            load(&engine.stats().join_cursor_opens),
+            load(&engine.stats().join_seeks),
+        );
         assert_eq!(count_via_join3(&engine), want);
         // The read-side walk opened three cursors and charged them to
         // the same counters the rule-side walk uses.
-        assert_eq!(opens(&engine), before + 3);
+        assert_eq!(load(&engine.stats().join_cursor_opens), opens + 3);
+        // Each B row looks up its C group once, and the A/B leapfrog
+        // gallops at most once per distinct key: the walk's seeks are
+        // bounded by B rows plus distinct A/B keys. Seeking C once per
+        // matched (a, b) pair instead would blow through this bound.
+        let edges = engine.collect_rel(Edge::query());
+        let keys: BTreeSet<i64> = edges.iter().flat_map(|e| [e.from, e.to]).collect();
+        let walked = load(&engine.stats().join_seeks) - seeks;
+        assert!(
+            walked <= (edges.len() + keys.len()) as u64,
+            "join3 seeks {walked} > {} B rows + {} A/B keys",
+            edges.len(),
+            keys.len()
+        );
     }
 
     #[test]

@@ -5,15 +5,17 @@
 
 use crate::delta::{DeltaQueue, ShardedInbox};
 use crate::error::Result;
-use crate::gamma::{Gamma, StoreKind};
+use crate::gamma::{ColumnIndex, Gamma, StoreKind};
 use crate::orderby::OrderKey;
 use crate::program::Program;
 use crate::relation::{Join, Join3, Relation, TableHandle, TypedQuery};
 use crate::schema::TableId;
 use crate::stats::{EngineStats, StepRecord};
 use crate::tuple::Tuple;
+use crate::value::Value;
 use jstar_pool::ThreadPool;
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -240,6 +242,7 @@ impl Engine {
                 // instead of once per tuple. Like the inline arm this
                 // runs without the pipeline overlap window — the join
                 // fan-out keeps the pool busy itself.
+                // ord: Relaxed — statistics counter, read after the run.
                 state
                     .stats
                     .delta_join_classes
@@ -248,6 +251,7 @@ impl Engine {
             } else {
                 match scheduler.plan(self.pool.as_deref(), class_size) {
                     ClassPlan::Forked { chunk } => {
+                        // ord: Relaxed — statistics counter, read after the run.
                         state.stats.forked_classes.fetch_add(1, Ordering::Relaxed);
                         // lint: allow(expect): the planner only emits Forked when a pool exists.
                         let pool = self.pool.as_ref().expect("forked plan implies a pool");
@@ -276,6 +280,7 @@ impl Engine {
                         // overhead exceeds the work, execute on the
                         // coordinator. The sequential engine additionally
                         // sorts for a deterministic intra-class order.
+                        // ord: Relaxed — statistics counter, read after the run.
                         state.stats.inline_classes.fetch_add(1, Ordering::Relaxed);
                         if sort {
                             class.sort();
@@ -289,6 +294,7 @@ impl Engine {
 
             if let Some(t0) = exec_start {
                 let exec_elapsed = t0.elapsed();
+                // ord: Relaxed — statistics counter, read after the run.
                 state
                     .stats
                     .execute_nanos
@@ -313,6 +319,7 @@ impl Engine {
                 let store = state.gamma.store(*table);
                 store.retain(&**keep);
                 if store.maybe_compact(self.config.compact_tombstones_above) {
+                    // ord: Relaxed — statistics counter, read after the run.
                     state.stats.tables[table.index()]
                         .compactions
                         .fetch_add(1, Ordering::Relaxed);
@@ -343,6 +350,8 @@ impl Engine {
                         None => crate::persist::next_checkpoint_seq(dir),
                     })
                     .and_then(|seq| {
+                        // ord: Relaxed — the workers have joined at this
+                        // quiescent point, so the counter is current.
                         let meta = crate::persist::SnapshotMeta {
                             steps,
                             tuples_processed: state.stats.tuples_processed.load(Ordering::Relaxed),
@@ -379,33 +388,29 @@ impl Engine {
         }
         drop(errors);
 
+        // ord: Relaxed — every worker has joined (each pool scope's exit
+        // synchronises with its tasks), so the counters are final.
+        let load = |c: &jstar_check::sync::AtomicU64| c.load(Ordering::Relaxed);
         let cache_stats = state.gamma.index_cache().stats();
         Ok(RunReport {
             steps,
-            tuples_processed: state.stats.tuples_processed.load(Ordering::Relaxed),
+            tuples_processed: load(&state.stats.tuples_processed),
             elapsed: start.elapsed(),
-            drain_time: Duration::from_nanos(state.stats.drain_nanos.load(Ordering::Relaxed)),
-            partition_time: Duration::from_nanos(
-                state.stats.partition_nanos.load(Ordering::Relaxed),
-            ),
-            merge_time: Duration::from_nanos(state.stats.merge_nanos.load(Ordering::Relaxed)),
-            overlap_time: Duration::from_nanos(state.stats.overlap_nanos.load(Ordering::Relaxed)),
-            execute_time: Duration::from_nanos(state.stats.execute_nanos.load(Ordering::Relaxed)),
-            inline_classes: state.stats.inline_classes.load(Ordering::Relaxed),
-            forked_classes: state.stats.forked_classes.load(Ordering::Relaxed),
+            drain_time: Duration::from_nanos(load(&state.stats.drain_nanos)),
+            partition_time: Duration::from_nanos(load(&state.stats.partition_nanos)),
+            merge_time: Duration::from_nanos(load(&state.stats.merge_nanos)),
+            overlap_time: Duration::from_nanos(load(&state.stats.overlap_nanos)),
+            execute_time: Duration::from_nanos(load(&state.stats.execute_nanos)),
+            inline_classes: load(&state.stats.inline_classes),
+            forked_classes: load(&state.stats.forked_classes),
             checkpoints,
             checkpoint_time,
-            delta_join_classes: state.stats.delta_join_classes.load(Ordering::Relaxed),
+            delta_join_classes: load(&state.stats.delta_join_classes),
             delta_join_probes: 0,
-            delta_join_build_tuples: state.stats.delta_join_build_tuples.load(Ordering::Relaxed),
-            gamma_probes: state
-                .stats
-                .tables
-                .iter()
-                .map(|t| t.queries.load(Ordering::Relaxed))
-                .sum(),
-            join_seeks: state.stats.join_seeks.load(Ordering::Relaxed),
-            join_cursor_opens: state.stats.join_cursor_opens.load(Ordering::Relaxed),
+            delta_join_build_tuples: load(&state.stats.delta_join_build_tuples),
+            gamma_probes: state.stats.tables.iter().map(|t| load(&t.queries)).sum(),
+            join_seeks: load(&state.stats.join_seeks),
+            join_cursor_opens: load(&state.stats.join_cursor_opens),
             index_cache_hits: cache_stats.hits,
             index_cache_misses: cache_stats.misses,
             index_catchup_tuples: cache_stats.catchup_tuples,
@@ -421,6 +426,7 @@ impl Engine {
     /// ([`EngineConfig::checkpoint`]), which also captures pending
     /// tuples.
     pub fn snapshot(&self, path: &std::path::Path) -> Result<()> {
+        // ord: Relaxed — statistics counters of a quiescent engine.
         let meta = crate::persist::SnapshotMeta {
             steps: self.state.stats.steps.load(Ordering::Relaxed),
             tuples_processed: self.state.stats.tuples_processed.load(Ordering::Relaxed),
@@ -607,60 +613,62 @@ impl Engine {
     /// order of the typed builder, no optimizer. Further `on` pairs are
     /// residual equality checks inside matched groups. Panics when no
     /// `on` pair was declared (a cross join has nothing to merge on).
+    ///
+    /// On a pooled engine the walk is split by `A`-key position ranges
+    /// across the workers, each on its own cursors over the shared
+    /// views; each range buffers its matched rows (two tuple handles
+    /// per row, so memory grows with the result) and the calling thread
+    /// decodes and delivers them range by range. `f` therefore sees rows
+    /// in ascending join-key order, and in the same order with or
+    /// without a pool; a sequential engine walks inline, unbuffered.
     pub fn join_rel<A: Relation, B: Relation>(&self, j: Join<A, B>, mut f: impl FnMut(A, B)) {
         assert!(
             !j.on.is_empty(),
             "join::<A, B>() requires at least one on() pair"
         );
-        let ta = self.handle::<A>().id();
-        let tb = self.handle::<B>().id();
         let (fa, fb) = j.on[0];
-        let stats = &self.state.stats;
-        stats.tables[ta.index()]
-            .queries
-            .fetch_add(1, Ordering::Relaxed);
-        stats.tables[tb.index()]
-            .queries
-            .fetch_add(1, Ordering::Relaxed);
-        stats.join_cursor_opens.fetch_add(2, Ordering::Relaxed);
-        let ia = self.state.gamma.open_cursor(ta, fa);
-        let ib = self.state.gamma.open_cursor(tb, fb);
-        let mut ca = ia.cursor();
-        let mut cb = ib.cursor();
-        while let (Some(ka), Some(kb)) = (ca.key().cloned(), cb.key().cloned()) {
-            match ka.cmp(&kb) {
-                std::cmp::Ordering::Less => ca.seek(&kb),
-                std::cmp::Ordering::Greater => cb.seek(&ka),
-                std::cmp::Ordering::Equal => {
-                    if let (Some(ga), Some(gb)) = (ca.group(), cb.group()) {
-                        for at in ga {
-                            for bt in gb {
-                                if j.on[1..].iter().all(|&(af, bf)| at.get(af) == bt.get(bf)) {
-                                    f(A::from_tuple(at), B::from_tuple(bt));
-                                }
+        let [ia, ib] =
+            self.open_join_views([(self.handle::<A>().id(), fa), (self.handle::<B>().id(), fb)]);
+        let rest = &j.on[1..];
+        self.drive_join(
+            ia.len(),
+            |keys, emit| {
+                leapfrog_ab(&ia, &ib, keys, |ga, gb| {
+                    for at in ga {
+                        for bt in gb {
+                            if pairs_match(rest, at, bt) {
+                                emit([at, bt]);
                             }
                         }
                     }
-                    ca.next();
-                    cb.next();
-                }
-            }
-        }
-        let seeks = ca.seeks() + cb.seeks();
-        if seeks > 0 {
-            stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
-        }
+                })
+            },
+            |[a, b]| f(A::from_tuple(a), B::from_tuple(b)),
+        );
     }
 
     /// Evaluates a typed three-relation join over Gamma:
     /// `join3::<Edge, Edge, Edge>().on_ab(..).on_bc(..)`.
     ///
     /// `A` and `B` leapfrog on the first `on_ab` pair exactly as in
-    /// [`Engine::join_rel`]; each matched `(a, b)` row then seeks a
-    /// shared `C` cursor — keyed by the first `on_bc` pair, or the
-    /// first `on_ac` pair when no `b`–`c` key exists — with every
-    /// remaining pair checked as a residual equality. Panics without an
-    /// `on_ab` pair or without any `C`-side constraint.
+    /// [`Engine::join_rel`], split across the pool the same way and
+    /// delivered in the same ascending `A`/`B`-key order (three tuple
+    /// handles buffered per row). `C` is keyed by the first `on_bc`
+    /// pair, or the first `on_ac` pair when no `b`–`c` key exists:
+    ///
+    /// * **keyed from `B`**: each `b` row looks up its `C` group once.
+    ///   When an `on_ac` pair exists too, the matched `A` group is
+    ///   sorted once per key by that pair's `A` field, and each `c` in
+    ///   the `C` group binary-searches it — the closing pair is
+    ///   intersected, never filtered per `(a, b)` pair;
+    /// * **keyed from `A`**: each `a` row looks up its `C` group once,
+    ///   shared by every `b` it pairs with.
+    ///
+    /// Every other pair (`on_ab`, `on_bc` and `on_ac` beyond the ones
+    /// above) is a residual equality check. Within one key, rows come
+    /// `b`-major when `C` is keyed from `B` and `a`-major otherwise.
+    /// Panics without an `on_ab` pair or without any `C`-side
+    /// constraint.
     pub fn join3_rel<A: Relation, B: Relation, C: Relation>(
         &self,
         j: Join3<A, B, C>,
@@ -671,74 +679,194 @@ impl Engine {
             !(j.bc.is_empty() && j.ac.is_empty()),
             "join3 requires an on_bc() or on_ac() pair to key C"
         );
-        let ta = self.handle::<A>().id();
-        let tb = self.handle::<B>().id();
-        let tc = self.handle::<C>().id();
         let (fa, fb) = j.ab[0];
         // C's cursor column: prefer a b-sourced key (available at every
-        // matched pair), else an a-sourced one.
-        let (c_from_b, c_src, fc) = match j.bc.first() {
-            Some(&(bf, cf)) => (true, bf, cf),
-            None => (false, j.ac[0].0, j.ac[0].1),
+        // matched pair), else an a-sourced one. Whichever pair keys C —
+        // and the first a→c pair in either case — is consumed by the
+        // walk; the rest are residual.
+        let fc = match j.bc.first() {
+            Some(&(_, cf)) => cf,
+            None => j.ac[0].1,
         };
-        let stats = &self.state.stats;
-        for t in [ta, tb, tc] {
-            stats.tables[t.index()]
-                .queries
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        stats.join_cursor_opens.fetch_add(3, Ordering::Relaxed);
-        let ia = self.state.gamma.open_cursor(ta, fa);
-        let ib = self.state.gamma.open_cursor(tb, fb);
-        let ic = self.state.gamma.open_cursor(tc, fc);
-        let mut ca = ia.cursor();
-        let mut cb = ib.cursor();
-        let mut cc = ic.cursor();
-        while let (Some(ka), Some(kb)) = (ca.key().cloned(), cb.key().cloned()) {
-            match ka.cmp(&kb) {
-                std::cmp::Ordering::Less => ca.seek(&kb),
-                std::cmp::Ordering::Greater => cb.seek(&ka),
-                std::cmp::Ordering::Equal => {
-                    // Borrowed group slices stream straight into the
-                    // residual-filter stage — no per-key materialization
-                    // (`cc` is a separate cursor, so seeking it never
-                    // invalidates these borrows).
-                    let (ga, gb) = match (ca.group(), cb.group()) {
-                        (Some(ga), Some(gb)) => (ga, gb),
-                        _ => break,
-                    };
-                    for at in ga {
+        let [ia, ib, ic] = self.open_join_views([
+            (self.handle::<A>().id(), fa),
+            (self.handle::<B>().id(), fb),
+            (self.handle::<C>().id(), fc),
+        ]);
+        let ab_rest = &j.ab[1..];
+        let bc_rest = j.bc.get(1..).unwrap_or_default();
+        let ac_rest = j.ac.get(1..).unwrap_or_default();
+        self.drive_join(
+            ia.len(),
+            |keys, emit| {
+                let mut cc = ic.cursor();
+                // The current A group's closing-pair values with their
+                // positions, sorted; reused across keys. Searching
+                // these inline values touches no tuple.
+                let mut by_ac: Vec<(Value, usize)> = Vec::new();
+                let walked = leapfrog_ab(&ia, &ib, keys, |ga, gb| match j.bc.first() {
+                    Some(&(bf, _)) => {
+                        if let Some(&(af, _)) = j.ac.first() {
+                            by_ac.clear();
+                            by_ac.extend(ga.iter().map(|at| at.get(af).clone()).zip(0..));
+                            by_ac.sort_unstable();
+                        }
                         for bt in gb {
-                            if !j.ab[1..].iter().all(|&(af, bf)| at.get(af) == bt.get(bf)) {
+                            let Some(gc) = cc.seek_exact(bt.get(bf)) else {
                                 continue;
-                            }
-                            let target = if c_from_b {
-                                bt.get(c_src)
-                            } else {
-                                at.get(c_src)
                             };
-                            let target = target.clone();
-                            if let Some(gc) = cc.seek_exact(&target) {
+                            for ct in gc {
+                                if !pairs_match(bc_rest, bt, ct) {
+                                    continue;
+                                }
+                                let mut close = |at: &Tuple| {
+                                    if pairs_match(ab_rest, at, bt) && pairs_match(ac_rest, at, ct)
+                                    {
+                                        emit([at, bt, ct]);
+                                    }
+                                };
+                                match j.ac.first() {
+                                    Some(&(_, cf)) => {
+                                        let v = ct.get(cf);
+                                        let lo = by_ac.partition_point(|(x, _)| x < v);
+                                        by_ac[lo..]
+                                            .iter()
+                                            .take_while(|(x, _)| x == v)
+                                            .for_each(|&(_, i)| close(&ga[i]));
+                                    }
+                                    None => ga.iter().for_each(close),
+                                }
+                            }
+                        }
+                    }
+                    None => {
+                        let af = j.ac[0].0;
+                        for at in ga {
+                            let Some(gc) = cc.seek_exact(at.get(af)) else {
+                                continue;
+                            };
+                            for bt in gb {
+                                if !pairs_match(ab_rest, at, bt) {
+                                    continue;
+                                }
                                 for ct in gc {
-                                    let bc_ok =
-                                        j.bc.iter().all(|&(bf, cf)| bt.get(bf) == ct.get(cf));
-                                    let ac_ok =
-                                        j.ac.iter().all(|&(af, cf)| at.get(af) == ct.get(cf));
-                                    if bc_ok && ac_ok {
-                                        f(A::from_tuple(at), B::from_tuple(bt), C::from_tuple(ct));
+                                    if pairs_match(ac_rest, at, ct) {
+                                        emit([at, bt, ct]);
                                     }
                                 }
                             }
                         }
                     }
-                    ca.next();
-                    cb.next();
+                });
+                walked + cc.seeks()
+            },
+            |[a, b, c]| f(A::from_tuple(a), B::from_tuple(b), C::from_tuple(c)),
+        );
+    }
+
+    /// Opens the column views of one read-side join, charging each as a
+    /// query against its table plus a cursor open — the same counters
+    /// the rule-side walk uses.
+    fn open_join_views<const N: usize>(
+        &self,
+        columns: [(TableId, usize); N],
+    ) -> [Arc<ColumnIndex>; N] {
+        let stats = &self.state.stats;
+        // ord: Relaxed — statistics counter, read after the walk.
+        stats
+            .join_cursor_opens
+            .fetch_add(N as u64, Ordering::Relaxed);
+        columns.map(|(table, field)| {
+            // ord: Relaxed — statistics counter, read after the walk.
+            stats.tables[table.index()]
+                .queries
+                .fetch_add(1, Ordering::Relaxed);
+            self.state.gamma.open_cursor(table, field)
+        })
+    }
+
+    /// The chunked walk runner behind [`Engine::join_rel`] and
+    /// [`Engine::join3_rel`]. `walk(range, emit)` walks the `A`-key
+    /// positions `range` on its own cursors, emits each matched row in
+    /// order and returns its counted gallops. On a pooled engine the
+    /// `0..keys` positions are split with [`jstar_pool::adaptive_chunk`]
+    /// and walked on the pool, each range buffering its rows; the
+    /// calling thread then hands them to `deliver` range by range. Either
+    /// way `deliver` sees the rows of one sequential walk, in its order.
+    fn drive_join<const N: usize>(
+        &self,
+        keys: usize,
+        walk: impl Fn(Range<usize>, &mut dyn FnMut([&Tuple; N])) -> u64 + Sync,
+        mut deliver: impl FnMut([&Tuple; N]),
+    ) {
+        let seeks = match self.pool.as_deref() {
+            Some(pool) if keys > 1 && pool.num_threads() > 1 => {
+                let chunk = jstar_pool::adaptive_chunk(pool, keys);
+                let walk = &walk;
+                let ranges = (0..keys).step_by(chunk).map(|lo| lo..keys.min(lo + chunk));
+                let tasks: Vec<_> = ranges
+                    .map(|range| {
+                        move || {
+                            let mut rows: Vec<[Tuple; N]> = Vec::new();
+                            let seeks = walk(range, &mut |row| rows.push(row.map(Tuple::clone)));
+                            (rows, seeks)
+                        }
+                    })
+                    .collect();
+                let mut seeks = 0;
+                for (rows, walked) in jstar_pool::parallel_tasks(pool, tasks) {
+                    seeks += walked;
+                    for row in &rows {
+                        deliver(row.each_ref());
+                    }
                 }
+                seeks
             }
-        }
-        let seeks = ca.seeks() + cb.seeks() + cc.seeks();
+            _ => walk(0..keys, &mut deliver),
+        };
         if seeks > 0 {
-            stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
+            // ord: Relaxed — statistics counter, read after the walk.
+            self.state
+                .stats
+                .join_seeks
+                .fetch_add(seeks, Ordering::Relaxed);
         }
     }
+}
+
+/// Leapfrogs `A`'s and `B`'s column views over `A`'s key positions
+/// `keys`, calling `on_key` with both groups at every shared value in
+/// ascending order. `B`'s cursor starts at its first value, so a range
+/// after the first costs one gallop to line it up. Returns the counted
+/// gallops.
+fn leapfrog_ab(
+    ia: &Arc<ColumnIndex>,
+    ib: &Arc<ColumnIndex>,
+    keys: Range<usize>,
+    mut on_key: impl FnMut(&[Tuple], &[Tuple]),
+) -> u64 {
+    let mut ca = ia.cursor_at(keys.start);
+    let mut cb = ib.cursor();
+    while ca.position() < keys.end {
+        let (Some(ka), Some(kb)) = (ca.key(), cb.key()) else {
+            break;
+        };
+        match ka.cmp(kb) {
+            std::cmp::Ordering::Less => ca.seek(kb),
+            std::cmp::Ordering::Greater => cb.seek(ka),
+            std::cmp::Ordering::Equal => {
+                if let (Some(ga), Some(gb)) = (ca.group(), cb.group()) {
+                    on_key(ga, gb);
+                }
+                ca.next();
+                cb.next();
+            }
+        }
+    }
+    ca.seeks() + cb.seeks()
+}
+
+/// True when every `(x field, y field)` pair holds equal values.
+fn pairs_match(pairs: &[(usize, usize)], x: &Tuple, y: &Tuple) -> bool {
+    pairs.iter().all(|&(xf, yf)| x.get(xf) == y.get(yf))
 }

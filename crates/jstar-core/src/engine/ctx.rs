@@ -226,9 +226,11 @@ impl<'a> RuleCtx<'a> {
             return None;
         }
         let stats = &self.state.stats.tables[ti];
+        // ord: Relaxed — statistics counters, read after the run.
         stats.queries.fetch_add(1, Ordering::Relaxed);
         let use_index = self.state.plans[ti].query_uses_index(q);
         if use_index {
+            // ord: Relaxed — as above.
             stats.queries_indexed.fetch_add(1, Ordering::Relaxed);
         }
         Some(use_index)

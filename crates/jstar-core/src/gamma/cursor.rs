@@ -142,9 +142,16 @@ impl ColumnIndex {
 
     /// A fresh cursor positioned at the first (smallest) value.
     pub fn cursor(self: &Arc<Self>) -> ColumnCursor {
+        self.cursor_at(0)
+    }
+
+    /// A fresh cursor positioned at the `pos`-th distinct value (clamped
+    /// to the end) — how a walk split by key position starts each
+    /// worker at its own range without a counted seek.
+    pub fn cursor_at(self: &Arc<Self>, pos: usize) -> ColumnCursor {
         ColumnCursor {
             index: Arc::clone(self),
-            pos: 0,
+            pos: pos.min(self.groups.len()),
             seeks: 0,
         }
     }
@@ -170,6 +177,11 @@ impl ColumnCursor {
     /// The tuples carrying the current value, or `None` once exhausted.
     pub fn group(&self) -> Option<&[Tuple]> {
         self.index.groups.get(self.pos).map(|(_, g)| g.as_slice())
+    }
+
+    /// The cursor's position: how many distinct values lie before it.
+    pub fn position(&self) -> usize {
+        self.pos
     }
 
     /// True when the cursor has moved past the last value.
@@ -297,6 +309,17 @@ mod tests {
         assert_eq!(c.group().map(|g| g.len()), Some(2));
         c.next();
         assert!(c.is_exhausted());
+    }
+
+    #[test]
+    fn cursor_at_starts_mid_index_without_a_seek() {
+        let idx = index(&[10, 20, 30]);
+        let c = idx.cursor_at(1);
+        assert_eq!((c.position(), c.key()), (1, Some(&Value::Int(20))));
+        assert_eq!(c.seeks(), 0);
+        let end = idx.cursor_at(7);
+        assert_eq!(end.position(), 3, "clamped to the end");
+        assert!(end.is_exhausted());
     }
 
     #[test]

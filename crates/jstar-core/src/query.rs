@@ -17,7 +17,13 @@
 //!   [`crate::relation::join3`] over shared [`crate::relation::Field`]
 //!   tokens, evaluated by [`crate::engine::Engine::join_rel`] /
 //!   `join3_rel` as one leapfrog sorted-merge walk over per-column
-//!   ordered views of Gamma;
+//!   ordered views of Gamma. On a pooled engine the walk is split by
+//!   `A`-key ranges across the workers; each range buffers its matched
+//!   rows (memory in proportion to the result) and the calling thread
+//!   delivers them in ascending key order — the order a sequential
+//!   engine's inline walk produces. A `join3` whose `C` is keyed from
+//!   `B` intersects its first `a`–`c` pair (each `c` binary-searches
+//!   the matched `A` group, sorted once per key);
 //! * **rule-side**: [`crate::program::ProgramBuilder::rule_rel_join`]
 //!   and `rule_rel_join2`, whose inspectable plans the engine lowers
 //!   onto the same merged-cursor walk when a wide class executes as a
@@ -28,7 +34,8 @@
 //! **The variable order is fixed, never optimized.** Relations
 //! intersect in the order the builder declares them, each keyed on the
 //! column its *first* equality pair names; every further pair is a
-//! residual filter inside matched groups. There are no statistics and
+//! residual filter inside matched groups (except the intersected
+//! `a`–`c` pair of a `join3` above). There are no statistics and
 //! no planner — order the relations yourself (most selective first),
 //! and read the cost directly off `RunReport::join_seeks` /
 //! `join_cursor_opens` instead of guessing what a planner chose.

@@ -891,7 +891,11 @@ impl<R, S1, S2> JoinOn2<R, S1, S2> {
 /// opened on the first `on` pair's columns, intersecting `A`'s and
 /// `B`'s value sets in one coordinated seek/next merge, with any
 /// further `on` pairs checked as residual equalities inside matched
-/// groups. Evaluate with [`crate::engine::Engine::join_rel`].
+/// groups. On a pooled engine the walk is split by `A`-key ranges
+/// across the workers; matched rows are buffered per range (memory in
+/// proportion to the result) and delivered on the calling thread in
+/// ascending key order, the same order a sequential engine produces.
+/// Evaluate with [`crate::engine::Engine::join_rel`].
 pub fn join<A: Relation, B: Relation>() -> Join<A, B> {
     Join {
         on: Vec::new(),
@@ -917,8 +921,15 @@ impl<A: Relation, B: Relation> Join<A, B> {
 /// Starts a typed three-relation join over Gamma:
 /// `join3::<Edge, Edge, Edge>()`. Variable order is fixed as `A`, `B`,
 /// then `C` (declaration order; no optimizer): `A` and `B` leapfrog on
-/// the first [`Join3::on_ab`] pair, then each matched `(a, b)` row
-/// seeks a shared `C` cursor keyed by the first `C`-side constraint.
+/// the first [`Join3::on_ab`] pair, split across the pool by `A`-key
+/// range as in [`join`]. `C` is keyed by the first [`Join3::on_bc`]
+/// pair (else the first [`Join3::on_ac`] pair), looked up once per `b`
+/// (else per `a`) row. With both a `b`–`c` key and an `a`–`c` pair,
+/// the first `a`–`c` pair is intersected — each `c` binary-searches
+/// the matched `A` group, sorted once per key — rather than checked
+/// per `(a, b)` pair; every other pair is a residual check. Rows
+/// arrive in ascending `A`/`B`-key order with or without a pool, three
+/// tuple handles buffered per row on a pooled engine.
 /// Evaluate with [`crate::engine::Engine::join3_rel`].
 pub fn join3<A: Relation, B: Relation, C: Relation>() -> Join3<A, B, C> {
     Join3 {
@@ -945,13 +956,15 @@ impl<A: Relation, B: Relation, C: Relation> Join3<A, B, C> {
         self
     }
 
-    /// Adds the equi-join pair `b.field == c.field`.
+    /// Adds the equi-join pair `b.field == c.field` (the first pair
+    /// keys the `C` lookup).
     pub fn on_bc<T: FieldValue>(mut self, b: Field<B, T>, c: Field<C, T>) -> Self {
         self.bc.push((b.index(), c.index()));
         self
     }
 
-    /// Adds the equi-join pair `a.field == c.field`.
+    /// Adds the equi-join pair `a.field == c.field` (the first pair is
+    /// intersected when `C` is keyed from `B`, and keys `C` otherwise).
     pub fn on_ac<T: FieldValue>(mut self, a: Field<A, T>, c: Field<C, T>) -> Self {
         self.ac.push((a.index(), c.index()));
         self

@@ -7,9 +7,7 @@
 //! * **R1 `safety`** — every `unsafe` site carries a `// SAFETY:` comment
 //!   (or a `# Safety` doc section) within the preceding lines.
 //! * **R2 `ordering`** — every atomic `Ordering::…` use in the core crates
-//!   carries a `// ord:` rationale nearby. Files that predate the shim
-//!   migration are allowlisted in [`R2_ALLOWLIST`]; shrink that list, never
-//!   grow it.
+//!   carries a `// ord:` rationale nearby. No file is exempt.
 //! * **R2b `seqcst`** — `Ordering::SeqCst` additionally needs a comment
 //!   that names `SeqCst` and argues why a total order is required. (The
 //!   usual fix is a downgrade, not a justification.)
@@ -19,8 +17,7 @@
 //! * **R4 `shim`** — files migrated onto `jstar_check::sync` must not
 //!   regress to `std::sync::atomic` or `parking_lot` anywhere, tests
 //!   included, or the model checker silently loses sight of them.
-//! * **R5 `stale-list`** — every path in [`R2_ALLOWLIST`] and
-//!   [`SHIM_MANDATED`] must exist under the linted root. A deleted or
+//! * **R5 `stale-list`** — every path in [`SHIM_MANDATED`] must exist under the linted root. A deleted or
 //!   renamed file would otherwise leave an entry that silently passes
 //!   (the tree walk only visits files that exist); reported at line 0.
 //!
@@ -56,16 +53,6 @@ impl fmt::Display for Finding {
         )
     }
 }
-
-/// Files exempt from **R2** (`ord:` rationale) because they still use
-/// plain `std` atomics with self-evident or legacy orderings. The goal is
-/// to migrate these onto the shim and delete the entry; additions need a
-/// PR argument.
-pub const R2_ALLOWLIST: &[&str] = &[
-    "crates/jstar-core/src/engine/coordinator.rs",
-    "crates/jstar-core/src/engine/ctx.rs",
-    "crates/jstar-pool/src/parfor.rs",
-];
 
 /// Files that have been migrated onto `jstar_check::sync` and must stay
 /// there (**R4**): a raw `std::sync::atomic`/`parking_lot` reference in one
@@ -368,7 +355,6 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
     let in_core = path_matches(rel, CORE_CRATES);
     let in_hot = path_matches(rel, HOT_PATHS);
     let shim_file = SHIM_MANDATED.contains(&rel);
-    let r2_allowed = R2_ALLOWLIST.contains(&rel);
 
     let mut push = |line: usize, rule: &'static str, message: String| {
         findings.push(Finding {
@@ -402,7 +388,6 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
         if !ords.is_empty()
             && in_core
             && !in_test
-            && !r2_allowed
             && !comment_nearby(&lines, n, 10, "ord:")
             && !waived(&lines, n, "ordering")
         {
@@ -516,22 +501,17 @@ pub fn lint_tree(root: &Path) -> Vec<Finding> {
     findings
 }
 
-/// **R5**: one finding per [`R2_ALLOWLIST`] / [`SHIM_MANDATED`] entry
-/// that names no file under `root`.
+/// **R5**: one finding per [`SHIM_MANDATED`] entry that names no file
+/// under `root`.
 fn stale_list_entries(root: &Path) -> Vec<Finding> {
-    let lists = [
-        ("R2_ALLOWLIST", R2_ALLOWLIST),
-        ("SHIM_MANDATED", SHIM_MANDATED),
-    ];
-    lists
+    SHIM_MANDATED
         .iter()
-        .flat_map(|&(list, paths)| paths.iter().map(move |&p| (list, p)))
-        .filter(|&(_, p)| !root.join(p).is_file())
-        .map(|(list, p)| Finding {
+        .filter(|&&p| !root.join(p).is_file())
+        .map(|&p| Finding {
             file: p.to_string(),
             line: 0,
             rule: "stale-list",
-            message: format!("listed in `{list}` but no such file exists; drop the entry"),
+            message: "listed in `SHIM_MANDATED` but no such file exists; drop the entry".into(),
         })
         .collect()
 }
@@ -617,9 +597,15 @@ mod tests {
     }
 
     #[test]
-    fn allowlisted_file_skips_r2() {
+    fn no_core_file_is_exempt_from_r2() {
+        // The files once exempted for predating the shim get no pass.
         let src = "fn f(a: &A) { a.x.store(1, Ordering::Release); }\n";
-        assert!(lint_source("crates/jstar-pool/src/parfor.rs", src).is_empty());
+        for file in [
+            "crates/jstar-core/src/engine/coordinator.rs",
+            "crates/jstar-pool/src/parfor.rs",
+        ] {
+            assert_eq!(rules(&lint_source(file, src)), ["ordering"], "{file}");
+        }
     }
 
     #[test]
@@ -698,9 +684,9 @@ mod tests {
     fn missing_listed_files_are_reported() {
         let root = std::env::temp_dir().join(format!("jstar-lint-stale-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
-        let (gone_r2, gone_shim) = (R2_ALLOWLIST[0], SHIM_MANDATED[0]);
-        for &p in R2_ALLOWLIST.iter().chain(SHIM_MANDATED) {
-            if p != gone_r2 && p != gone_shim {
+        let gone = SHIM_MANDATED[0];
+        for &p in SHIM_MANDATED {
+            if p != gone {
                 let path = root.join(p);
                 fs::create_dir_all(path.parent().unwrap()).unwrap();
                 fs::write(&path, "fn f() {}\n").unwrap();
@@ -711,8 +697,8 @@ mod tests {
         let stale: Vec<(&str, &str)> = findings.iter().map(|f| (f.file.as_str(), f.rule)).collect();
         assert_eq!(
             stale,
-            [(gone_r2, "stale-list"), (gone_shim, "stale-list")],
-            "exactly the two deleted files are reported"
+            [(gone, "stale-list")],
+            "exactly the deleted file is reported"
         );
     }
 

@@ -244,6 +244,8 @@ mod tests {
     fn parallel_for_covers_range_exactly_once() {
         let p = pool();
         let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
+        // ord: Relaxed — each slot is bumped by one task; the scope's
+        // join orders the bumps before the loads below.
         parallel_for(&p, 0..1000, 7, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
