@@ -8,18 +8,21 @@
 //! relation is materialised. The rule is registered through
 //! [`ProgramBuilder::rule_rel_join2`], so it carries an inspectable
 //! two-stage [`JoinPlan`] and every `Probe` stratum drains through the
-//! engine's batched delta-join pass: one coordinated sorted-merge walk
-//! over the cached `Edge` indexes per class. The `delta_join` section of
-//! `bench_hotpath` A/B-compares that walk against per-tuple firing on
-//! this program and records the probe/seek/cursor-open counters.
+//! engine's batched delta-join pass: the class, indexed on `b`, drives
+//! the engine's one leapfrog walk over the cached `Edge` views. The
+//! `delta_join` section of `bench_hotpath` A/B-compares that walk
+//! against per-tuple firing on this program and records the
+//! probe/seek/cursor-open counters.
 //!
 //! The same count is also available *after* the run as a read-side
-//! query: [`count_via_join3`] evaluates
-//! `join3::<Edge, Edge, Edge>()` with a leapfrog intersection over the
-//! stored half-edges — the query-layer face of the same walk. That walk
-//! is split across the pool by vertex range, and closes each wedge by
-//! intersection: the edges into a vertex are sorted once by source, and
-//! each edge out of the wedge's far end binary-searches them.
+//! query: [`count_via_join3`] evaluates `join3::<Edge, Edge, Edge>()`
+//! over the stored half-edges on the same walk, split across the pool
+//! by vertex range. Both forms have the same shape — a driver row, an
+//! edge out of its far end, and a closing edge — and both close each
+//! wedge by intersection: the driver rows at a vertex are sorted once
+//! by the closing field, each closing-edge candidate binary-searches
+//! them, and the closing edge is sought once per wedge edge rather
+//! than once per (driver, wedge) pair.
 
 use jstar_core::jstar_table;
 use jstar_core::prelude::*;
@@ -183,8 +186,8 @@ pub fn build_program(spec: TriSpec) -> TrianglesApp {
     // The whole triangle in one rule: extend the edge a–b (a < b) by a
     // higher neighbour c of b (stage 1, residual b < c), then require
     // the closing edge c→a (stage 2 — both directions are stored, so it
-    // exists iff a ~ c). Stage 2's leading key comes from stage 1's
-    // tuple, which is what the leapfrog walk seeks on.
+    // exists iff a ~ c). Stage 2 seeks on the key from stage 1's
+    // tuple; the trigger-sourced pair is intersected.
     p.rule_rel_join2(
         "triangles",
         JoinOn::new().eq(Probe::b, Edge::from),
@@ -390,11 +393,11 @@ mod tests {
         assert_eq!(
             plan.stages[1].keys,
             vec![((1, 1), 0), ((0, 0), 1)],
-            "e1.to = e2.from (the walked column), Probe.a = e2.to (residual)"
+            "e1.to = e2.from (the sought column), Probe.a = e2.to (intersected)"
         );
-        assert_eq!(
-            plan.first_stage().trigger_keys().collect::<Vec<_>>(),
-            vec![(1, 0)]
+        assert!(
+            plan.stages[0].keys.iter().all(|&((row, _), _)| row == 0),
+            "stage 0 is keyed from the trigger only"
         );
     }
 

@@ -487,15 +487,12 @@ impl Execution {
                         site,
                     ));
                 } else if write {
-                    for u in 0..MAX_THREADS {
-                        if read.get(u) > me_clock.get(u) {
-                            race = Some(format!(
-                                "data race: read at {} not ordered before write at {}",
-                                fmt_site(read_sites[u]),
-                                site,
-                            ));
-                            break;
-                        }
+                    if let Some(u) = (0..MAX_THREADS).find(|&u| read.get(u) > me_clock.get(u)) {
+                        race = Some(format!(
+                            "data race: read at {} not ordered before write at {}",
+                            fmt_site(read_sites[u]),
+                            site,
+                        ));
                     }
                 }
                 if race.is_none() {

@@ -91,9 +91,9 @@ pub struct EngineConfig {
     pub checkpoint_keep: usize,
     /// Minimum extracted-class size at which rules carrying a
     /// [`crate::rule::JoinPlan`] switch from per-tuple firing to
-    /// **delta-join** execution: the class is sorted into join-key groups
-    /// and leapfrogged against one column cursor per probe table instead
-    /// of probing Gamma once per tuple (semi-naive evaluation with the
+    /// **delta-join** execution: the class, indexed on its first join
+    /// key, drives the leapfrog walk over one column view per probe table
+    /// instead of probing Gamma once per tuple (semi-naive evaluation with the
     /// class as the delta). Below the threshold the batching bookkeeping
     /// costs more than the probes it saves. A plan with a keyless stage
     /// (a cross join) has no key to walk, so it fires per tuple at any

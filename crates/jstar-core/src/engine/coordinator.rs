@@ -5,22 +5,22 @@
 
 use crate::delta::{DeltaQueue, ShardedInbox};
 use crate::error::Result;
-use crate::gamma::{ColumnIndex, Gamma, StoreKind};
+use crate::gamma::{Gamma, StoreKind};
 use crate::orderby::OrderKey;
 use crate::program::Program;
 use crate::relation::{Join, Join3, Relation, TableHandle, TypedQuery};
+use crate::rule::JoinStage;
 use crate::schema::TableId;
 use crate::stats::{EngineStats, StepRecord};
 use crate::tuple::Tuple;
-use crate::value::Value;
 use jstar_pool::ThreadPool;
 use parking_lot::Mutex;
-use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::config::EngineConfig;
+use super::join;
 use super::pipeline::Pipeline;
 use super::report::RunReport;
 use super::runtime::{
@@ -604,71 +604,42 @@ impl Engine {
         self.state.output.lock().clone()
     }
 
-    /// Evaluates a typed two-relation join over Gamma with one
-    /// leapfrog sorted-merge walk: `join::<Edge, Edge>().on(..)`.
+    /// Evaluates a typed two-relation join over Gamma:
+    /// `join::<Edge, Edge>().on(..)`. `A`'s view drives the engine's one
+    /// leapfrog walk (the `join` module) and `B` is its one stage, so
+    /// the first `on` pair is leapfrogged and later pairs are residual
+    /// checks. Each view open counts as a query plus a cursor open.
+    /// Panics when no `on` pair was declared (a cross join has nothing
+    /// to merge on).
     ///
-    /// Both relations' column views are opened once (each counted as a
-    /// query plus a cursor open), then intersected on the first `on`
-    /// pair with coordinated seek/next motions — the fixed variable
-    /// order of the typed builder, no optimizer. Further `on` pairs are
-    /// residual equality checks inside matched groups. Panics when no
-    /// `on` pair was declared (a cross join has nothing to merge on).
-    ///
-    /// On a pooled engine the walk is split by `A`-key position ranges
-    /// across the workers, each on its own cursors over the shared
-    /// views; each range buffers its matched rows (two tuple handles
-    /// per row, so memory grows with the result) and the calling thread
-    /// decodes and delivers them range by range. `f` therefore sees rows
-    /// in ascending join-key order, and in the same order with or
-    /// without a pool; a sequential engine walks inline, unbuffered.
+    /// On a pooled engine the walk is split by `A`-key ranges across
+    /// the workers; each range buffers its matched rows (memory grows
+    /// with the result) and the calling thread delivers them range by
+    /// range. `f` therefore sees rows in ascending join-key order, the
+    /// same order with or without a pool; a sequential engine walks
+    /// inline, unbuffered.
     pub fn join_rel<A: Relation, B: Relation>(&self, j: Join<A, B>, mut f: impl FnMut(A, B)) {
         assert!(
             !j.on.is_empty(),
             "join::<A, B>() requires at least one on() pair"
         );
-        let (fa, fb) = j.on[0];
-        let [ia, ib] =
-            self.open_join_views([(self.handle::<A>().id(), fa), (self.handle::<B>().id(), fb)]);
-        let rest = &j.on[1..];
-        self.drive_join(
-            ia.len(),
-            |keys, emit| {
-                leapfrog_ab(&ia, &ib, keys, |ga, gb| {
-                    for at in ga {
-                        for bt in gb {
-                            if pairs_match(rest, at, bt) {
-                                emit([at, bt]);
-                            }
-                        }
-                    }
-                })
-            },
-            |[a, b]| f(A::from_tuple(a), B::from_tuple(b)),
-        );
+        let stages = [JoinStage {
+            probe_table: self.handle::<B>().id(),
+            keys: j.on.iter().map(|&(a, b)| ((0, a), b)).collect(),
+        }];
+        self.read_join(self.handle::<A>().id(), &stages, |[a, b]| {
+            f(A::from_tuple(a), B::from_tuple(b))
+        });
     }
 
     /// Evaluates a typed three-relation join over Gamma:
-    /// `join3::<Edge, Edge, Edge>().on_ab(..).on_bc(..)`.
-    ///
-    /// `A` and `B` leapfrog on the first `on_ab` pair exactly as in
-    /// [`Engine::join_rel`], split across the pool the same way and
-    /// delivered in the same ascending `A`/`B`-key order (three tuple
-    /// handles buffered per row). `C` is keyed by the first `on_bc`
-    /// pair, or the first `on_ac` pair when no `b`–`c` key exists:
-    ///
-    /// * **keyed from `B`**: each `b` row looks up its `C` group once.
-    ///   When an `on_ac` pair exists too, the matched `A` group is
-    ///   sorted once per key by that pair's `A` field, and each `c` in
-    ///   the `C` group binary-searches it — the closing pair is
-    ///   intersected, never filtered per `(a, b)` pair;
-    /// * **keyed from `A`**: each `a` row looks up its `C` group once,
-    ///   shared by every `b` it pairs with.
-    ///
-    /// Every other pair (`on_ab`, `on_bc` and `on_ac` beyond the ones
-    /// above) is a residual equality check. Within one key, rows come
-    /// `b`-major when `C` is keyed from `B` and `a`-major otherwise.
-    /// Panics without an `on_ab` pair or without any `C`-side
-    /// constraint.
+    /// `join3::<Edge, Edge, Edge>().on_ab(..).on_bc(..)`. `A`'s view
+    /// drives two stages, `B` with the `on_ab` pairs and then `C` with
+    /// the `on_bc` pairs followed by the `on_ac` pairs, on the walk and
+    /// delivery of [`Engine::join_rel`]. So `C` seeks on its first
+    /// `on_bc` pair and intersects the first `on_ac` pair, or seeks on
+    /// that `on_ac` pair when there is no `on_bc` pair. Panics without
+    /// an `on_ab` pair or without any `C`-side constraint.
     pub fn join3_rel<A: Relation, B: Relation, C: Relation>(
         &self,
         j: Join3<A, B, C>,
@@ -679,194 +650,54 @@ impl Engine {
             !(j.bc.is_empty() && j.ac.is_empty()),
             "join3 requires an on_bc() or on_ac() pair to key C"
         );
-        let (fa, fb) = j.ab[0];
-        // C's cursor column: prefer a b-sourced key (available at every
-        // matched pair), else an a-sourced one. Whichever pair keys C —
-        // and the first a→c pair in either case — is consumed by the
-        // walk; the rest are residual.
-        let fc = match j.bc.first() {
-            Some(&(_, cf)) => cf,
-            None => j.ac[0].1,
-        };
-        let [ia, ib, ic] = self.open_join_views([
-            (self.handle::<A>().id(), fa),
-            (self.handle::<B>().id(), fb),
-            (self.handle::<C>().id(), fc),
-        ]);
-        let ab_rest = &j.ab[1..];
-        let bc_rest = j.bc.get(1..).unwrap_or_default();
-        let ac_rest = j.ac.get(1..).unwrap_or_default();
-        self.drive_join(
-            ia.len(),
-            |keys, emit| {
-                let mut cc = ic.cursor();
-                // The current A group's closing-pair values with their
-                // positions, sorted; reused across keys. Searching
-                // these inline values touches no tuple.
-                let mut by_ac: Vec<(Value, usize)> = Vec::new();
-                let walked = leapfrog_ab(&ia, &ib, keys, |ga, gb| match j.bc.first() {
-                    Some(&(bf, _)) => {
-                        if let Some(&(af, _)) = j.ac.first() {
-                            by_ac.clear();
-                            by_ac.extend(ga.iter().map(|at| at.get(af).clone()).zip(0..));
-                            by_ac.sort_unstable();
-                        }
-                        for bt in gb {
-                            let Some(gc) = cc.seek_exact(bt.get(bf)) else {
-                                continue;
-                            };
-                            for ct in gc {
-                                if !pairs_match(bc_rest, bt, ct) {
-                                    continue;
-                                }
-                                let mut close = |at: &Tuple| {
-                                    if pairs_match(ab_rest, at, bt) && pairs_match(ac_rest, at, ct)
-                                    {
-                                        emit([at, bt, ct]);
-                                    }
-                                };
-                                match j.ac.first() {
-                                    Some(&(_, cf)) => {
-                                        let v = ct.get(cf);
-                                        let lo = by_ac.partition_point(|(x, _)| x < v);
-                                        by_ac[lo..]
-                                            .iter()
-                                            .take_while(|(x, _)| x == v)
-                                            .for_each(|&(_, i)| close(&ga[i]));
-                                    }
-                                    None => ga.iter().for_each(close),
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        let af = j.ac[0].0;
-                        for at in ga {
-                            let Some(gc) = cc.seek_exact(at.get(af)) else {
-                                continue;
-                            };
-                            for bt in gb {
-                                if !pairs_match(ab_rest, at, bt) {
-                                    continue;
-                                }
-                                for ct in gc {
-                                    if pairs_match(ac_rest, at, ct) {
-                                        emit([at, bt, ct]);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                });
-                walked + cc.seeks()
+        let stages = [
+            JoinStage {
+                probe_table: self.handle::<B>().id(),
+                keys: j.ab.iter().map(|&(a, b)| ((0, a), b)).collect(),
             },
-            |[a, b, c]| f(A::from_tuple(a), B::from_tuple(b), C::from_tuple(c)),
-        );
+            JoinStage {
+                probe_table: self.handle::<C>().id(),
+                keys: (j.bc.iter().map(|&(b, c)| ((1, b), c)))
+                    .chain(j.ac.iter().map(|&(a, c)| ((0, a), c)))
+                    .collect(),
+            },
+        ];
+        self.read_join(self.handle::<A>().id(), &stages, |[a, b, c]| {
+            f(A::from_tuple(a), B::from_tuple(b), C::from_tuple(c))
+        });
     }
 
-    /// Opens the column views of one read-side join, charging each as a
-    /// query against its table plus a cursor open — the same counters
-    /// the rule-side walk uses.
-    fn open_join_views<const N: usize>(
+    /// Opens `driver`'s view on stage 0's first source column and the
+    /// stages' views, and walks them, buffered per range on a pool.
+    fn read_join<const N: usize>(
         &self,
-        columns: [(TableId, usize); N],
-    ) -> [Arc<ColumnIndex>; N] {
-        let stats = &self.state.stats;
-        // ord: Relaxed — statistics counter, read after the walk.
-        stats
-            .join_cursor_opens
-            .fetch_add(N as u64, Ordering::Relaxed);
-        columns.map(|(table, field)| {
-            // ord: Relaxed — statistics counter, read after the walk.
-            stats.tables[table.index()]
-                .queries
-                .fetch_add(1, Ordering::Relaxed);
-            self.state.gamma.open_cursor(table, field)
-        })
-    }
-
-    /// The chunked walk runner behind [`Engine::join_rel`] and
-    /// [`Engine::join3_rel`]. `walk(range, emit)` walks the `A`-key
-    /// positions `range` on its own cursors, emits each matched row in
-    /// order and returns its counted gallops. On a pooled engine the
-    /// `0..keys` positions are split with [`jstar_pool::adaptive_chunk`]
-    /// and walked on the pool, each range buffering its rows; the
-    /// calling thread then hands them to `deliver` range by range. Either
-    /// way `deliver` sees the rows of one sequential walk, in its order.
-    fn drive_join<const N: usize>(
-        &self,
-        keys: usize,
-        walk: impl Fn(Range<usize>, &mut dyn FnMut([&Tuple; N])) -> u64 + Sync,
+        driver: TableId,
+        stages: &[JoinStage],
         mut deliver: impl FnMut([&Tuple; N]),
     ) {
-        let seeks = match self.pool.as_deref() {
-            Some(pool) if keys > 1 && pool.num_threads() > 1 => {
-                let chunk = jstar_pool::adaptive_chunk(pool, keys);
-                let walk = &walk;
-                let ranges = (0..keys).step_by(chunk).map(|lo| lo..keys.min(lo + chunk));
-                let tasks: Vec<_> = ranges
-                    .map(|range| {
-                        move || {
-                            let mut rows: Vec<[Tuple; N]> = Vec::new();
-                            let seeks = walk(range, &mut |row| rows.push(row.map(Tuple::clone)));
-                            (rows, seeks)
-                        }
-                    })
-                    .collect();
-                let mut seeks = 0;
-                for (rows, walked) in jstar_pool::parallel_tasks(pool, tasks) {
-                    seeks += walked;
-                    for row in &rows {
-                        deliver(row.each_ref());
-                    }
-                }
-                seeks
-            }
-            _ => walk(0..keys, &mut deliver),
+        let state = &self.state;
+        let driver = join::open_view(state, driver, stages[0].keys[0].0 .1);
+        let views = join::open_stage_views(state, stages);
+        let keys = driver.len();
+        let buffered = join::split(self.pool.as_deref(), keys, |range| {
+            let mut rows: Vec<[Tuple; N]> = Vec::new();
+            let seeks = join::walk(&driver, &views, stages, range, &mut |row| {
+                rows.push(std::array::from_fn(|i| row[i].clone()))
+            });
+            (rows, seeks)
+        });
+        let seeks = match buffered {
+            Some(parts) => parts
+                .into_iter()
+                .map(|(rows, seeks)| {
+                    rows.iter().for_each(|row| deliver(row.each_ref()));
+                    seeks
+                })
+                .sum(),
+            None => join::walk(&driver, &views, stages, 0..keys, &mut |row| {
+                deliver(std::array::from_fn(|i| row[i]))
+            }),
         };
-        if seeks > 0 {
-            // ord: Relaxed — statistics counter, read after the walk.
-            self.state
-                .stats
-                .join_seeks
-                .fetch_add(seeks, Ordering::Relaxed);
-        }
+        join::record_seeks(state, seeks);
     }
-}
-
-/// Leapfrogs `A`'s and `B`'s column views over `A`'s key positions
-/// `keys`, calling `on_key` with both groups at every shared value in
-/// ascending order. `B`'s cursor starts at its first value, so a range
-/// after the first costs one gallop to line it up. Returns the counted
-/// gallops.
-fn leapfrog_ab(
-    ia: &Arc<ColumnIndex>,
-    ib: &Arc<ColumnIndex>,
-    keys: Range<usize>,
-    mut on_key: impl FnMut(&[Tuple], &[Tuple]),
-) -> u64 {
-    let mut ca = ia.cursor_at(keys.start);
-    let mut cb = ib.cursor();
-    while ca.position() < keys.end {
-        let (Some(ka), Some(kb)) = (ca.key(), cb.key()) else {
-            break;
-        };
-        match ka.cmp(kb) {
-            std::cmp::Ordering::Less => ca.seek(kb),
-            std::cmp::Ordering::Greater => cb.seek(ka),
-            std::cmp::Ordering::Equal => {
-                if let (Some(ga), Some(gb)) = (ca.group(), cb.group()) {
-                    on_key(ga, gb);
-                }
-                ca.next();
-                cb.next();
-            }
-        }
-    }
-    ca.seeks() + cb.seeks()
-}
-
-/// True when every `(x field, y field)` pair holds equal values.
-fn pairs_match(pairs: &[(usize, usize)], x: &Tuple, y: &Tuple) -> bool {
-    pairs.iter().all(|&(xf, yf)| x.get(xf) == y.get(yf))
 }

@@ -99,14 +99,13 @@
 //!   `ProgramBuilder::rule_rel_join`, which records which trigger
 //!   fields equate to which probe-table fields — and the class has at
 //!   least [`EngineConfig::delta_join_threshold`] tuples, the whole
-//!   class is treated as the semi-naive *delta*: fresh tuples are
-//!   grouped by their join-key values in one deterministic sorted pass,
-//!   one sorted column cursor is opened per probe stage, and the sorted
-//!   groups are **leapfrogged** against it with seek/next motions, each
-//!   match filtered and emitted against every group member. Key groups
-//!   fan out across the pool like class chunks do. Opaque rules, and
-//!   plans with a keyless stage (cross joins, which give a cursor
-//!   nothing to seek on), still run per tuple after the walked rules.
+//!   class is treated as the semi-naive *delta*: its fresh tuples,
+//!   indexed on the plan's first trigger field, drive the leapfrog walk
+//!   of the `join` module (the one [`Engine::join_rel`] queries use)
+//!   over one sorted column view per probe stage, with ranges of delta
+//!   keys fanned across the pool. Opaque rules, and plans with a
+//!   keyless stage (cross joins, which give a cursor nothing to seek
+//!   on), still run per tuple after the walked rules.
 //!
 //! The static half of the choice (does any rule on this table have a
 //! plan?) is computed once per run; the dynamic half (is this class
@@ -180,7 +179,8 @@
 //!
 //! The module family: `config` (the paper's flags), `runtime` (the
 //! shared put/trigger core), `ctx` (the rule window onto the
-//! database), `schedule` (class execution planning), `pipeline`
+//! database), `join` (the leapfrog walk behind rule-side and
+//! read-side joins), `schedule` (class execution planning), `pipeline`
 //! (epoch absorption, serial and overlapped), `report` (run
 //! results), and `coordinator` (the step loop itself). The public API
 //! — [`Engine`], [`EngineConfig`], [`RuleCtx`], [`RunReport`],
@@ -190,6 +190,7 @@
 mod config;
 mod coordinator;
 mod ctx;
+mod join;
 mod pipeline;
 mod report;
 mod runtime;

@@ -140,6 +140,11 @@ impl ColumnIndex {
         self.groups.is_empty()
     }
 
+    /// The group at position `pos`, borrowed from the index itself.
+    pub(crate) fn group_at(&self, pos: usize) -> &[Tuple] {
+        &self.groups[pos].1
+    }
+
     /// A fresh cursor positioned at the first (smallest) value.
     pub fn cursor(self: &Arc<Self>) -> ColumnCursor {
         self.cursor_at(0)

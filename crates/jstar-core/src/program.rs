@@ -236,9 +236,9 @@ impl ProgramBuilder {
     /// Unlike [`ProgramBuilder::rule_rel`], the registered rule carries
     /// an inspectable [`crate::rule::JoinPlan`] alongside the
     /// synthesized per-tuple body. That shape is what lets the engine
-    /// execute a whole extracted class as **one leapfrog walk** against
-    /// a sorted column cursor on `S` (grouping the class by its join-key
-    /// values and seeking the cursor group by group) when the class
+    /// execute a whole extracted class as **one leapfrog walk** — the
+    /// walk that evaluates [`crate::relation::join`] queries, driven by
+    /// the class indexed on its first `on` field — when the class
     /// clears [`crate::engine::EngineConfig::delta_join_threshold`];
     /// below the threshold, or wherever batching is disabled, the
     /// per-tuple body runs instead. An `on` with no key pair
@@ -316,9 +316,12 @@ impl ProgramBuilder {
     /// `emit`.
     ///
     /// The registered [`crate::rule::JoinPlan`] carries both stages, so
-    /// delta-join execution lowers the whole class onto one coordinated
-    /// leapfrog cursor walk per stage instead of nested per-tuple
-    /// probes. Strict validation flags the missing causality model.
+    /// delta-join execution lowers the whole class onto the leapfrog
+    /// walk that evaluates [`crate::relation::join3`] queries instead
+    /// of nested per-tuple probes: with both an `eq_p` and an `eq_t`
+    /// pair, `S2` seeks on the first `eq_p` pair and the first `eq_t`
+    /// pair is intersected. Strict validation flags the missing
+    /// causality model.
     pub fn rule_rel_join2<R: Relation, S1: Relation, S2: Relation>(
         &mut self,
         name: &str,
@@ -441,7 +444,7 @@ impl ProgramBuilder {
 /// Synthesizes the per-tuple nested-loop body from a join plan: a
 /// recursive descent over the stages, one indexed Gamma query per
 /// stage per partial row. Both execution modes (this fallback and the
-/// delta-join cursor walk) are built from the same plan parts, so they
+/// delta-join leapfrog walk) are built from the same plan parts, so they
 /// share one definition of the rule's meaning and cannot drift apart.
 fn join_fallback_body(plan: Arc<JoinPlan>) -> RuleBody {
     Arc::new(move |ctx: &RuleCtx<'_>, t: &Tuple| {
@@ -852,15 +855,8 @@ mod tests {
             .as_ref()
             .expect("join rules expose an inspectable plan");
         assert_eq!(plan.stages.len(), 1);
-        assert_eq!(
-            plan.first_stage().probe_table,
-            prog.table_id("Rhs").unwrap()
-        );
-        assert_eq!(plan.first_stage().keys, vec![((0, 0), 0)]);
-        assert_eq!(
-            plan.first_stage().trigger_keys().collect::<Vec<_>>(),
-            vec![(0, 0)]
-        );
+        assert_eq!(plan.stages[0].probe_table, prog.table_id("Rhs").unwrap());
+        assert_eq!(plan.stages[0].keys, vec![((0, 0), 0)]);
         // The non-key columns only feed the filter; their tokens still
         // carry the right indices for anyone extending the join.
         assert_eq!((Lhs::v.index(), Rhs::w.index()), (1, 1));

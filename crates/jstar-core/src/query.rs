@@ -11,34 +11,30 @@
 //! # Multi-relation joins
 //!
 //! A [`crate::relation::TypedQuery`] binds one table; joins across
-//! tables have two typed forms sharing one execution contract:
+//! tables have two typed forms, lowered onto **one leapfrog walk**:
 //!
 //! * **read-side**: [`crate::relation::join`]`::<A, B>()` /
-//!   [`crate::relation::join3`] over shared [`crate::relation::Field`]
-//!   tokens, evaluated by [`crate::engine::Engine::join_rel`] /
-//!   `join3_rel` as one leapfrog sorted-merge walk over per-column
-//!   ordered views of Gamma. On a pooled engine the walk is split by
-//!   `A`-key ranges across the workers; each range buffers its matched
-//!   rows (memory in proportion to the result) and the calling thread
-//!   delivers them in ascending key order — the order a sequential
-//!   engine's inline walk produces. A `join3` whose `C` is keyed from
-//!   `B` intersects its first `a`–`c` pair (each `c` binary-searches
-//!   the matched `A` group, sorted once per key);
+//!   [`crate::relation::join3`], evaluated by
+//!   [`crate::engine::Engine::join_rel`] / `join3_rel` with `A`'s
+//!   ordered view of Gamma as the driver; rows arrive in ascending key
+//!   order, with or without a pool;
 //! * **rule-side**: [`crate::program::ProgramBuilder::rule_rel_join`]
-//!   and `rule_rel_join2`, whose inspectable plans the engine lowers
-//!   onto the same merged-cursor walk when a wide class executes as a
-//!   batched delta-join
-//!   (see [`crate::engine::EngineConfig::delta_join_threshold`]); a
-//!   plan with a keyless stage is a cross join and fires per tuple.
+//!   and `rule_rel_join2`, whose plans drive the same walk from a wide
+//!   class's fresh tuples (see
+//!   [`crate::engine::EngineConfig::delta_join_threshold`]); a plan
+//!   with a keyless stage is a cross join and fires per tuple.
 //!
-//! **The variable order is fixed, never optimized.** Relations
-//! intersect in the order the builder declares them, each keyed on the
-//! column its *first* equality pair names; every further pair is a
-//! residual filter inside matched groups (except the intersected
-//! `a`–`c` pair of a `join3` above). There are no statistics and
-//! no planner — order the relations yourself (most selective first),
-//! and read the cost directly off `RunReport::join_seeks` /
-//! `join_cursor_opens` instead of guessing what a planner chose.
+//! **The variable order is fixed, never optimized.** Relations are
+//! bound in declaration order. The first leapfrogs the driver on its
+//! first pair; a later one seeks on its first pair from the relation
+//! bound just before it, else on its first pair. The driver row is
+//! bound as late as the plan allows, so a later relation's first
+//! driver-sourced pair is *intersected* — the driver group is sorted by
+//! it once per key and each candidate binary-searches it — unless some
+//! relation seeks from the driver. Every other pair is a residual
+//! check. There are no statistics and no planner — order the relations
+//! yourself (most selective first), and read the cost directly off
+//! `RunReport::join_seeks` / `join_cursor_opens`.
 //!
 //! Migrating a hand-written nested loop onto `join()`:
 //!

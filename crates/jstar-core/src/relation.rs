@@ -796,8 +796,8 @@ pub struct ConstraintShape {
 /// Each [`JoinOn::eq`] pairs a trigger column with a probe column of
 /// the *same* Rust type, so mismatched join keys (wrong relation, wrong
 /// column type) are compile errors, exactly like [`TypedQuery`]
-/// constraints. The pair list is what the engine groups a delta class
-/// by when it runs the rule as a batched join.
+/// constraints. The first pair's trigger field is what the engine
+/// indexes a delta class on when it runs the rule as a batched join.
 pub struct JoinOn<R, S> {
     pairs: Vec<(usize, usize)>,
     _marker: PhantomData<fn(R, S)>,
@@ -887,14 +887,14 @@ impl<R, S1, S2> JoinOn2<R, S1, S2> {
 /// worst-case-optimal join builder: `join::<Edge, Edge>()`.
 ///
 /// The variable order is **fixed by declaration order** (`A` then `B`;
-/// no cost-based optimizer): the walk leapfrogs sorted column cursors
-/// opened on the first `on` pair's columns, intersecting `A`'s and
-/// `B`'s value sets in one coordinated seek/next merge, with any
-/// further `on` pairs checked as residual equalities inside matched
-/// groups. On a pooled engine the walk is split by `A`-key ranges
-/// across the workers; matched rows are buffered per range (memory in
-/// proportion to the result) and delivered on the calling thread in
-/// ascending key order, the same order a sequential engine produces.
+/// no cost-based optimizer): `A`'s sorted column view drives the
+/// engine's one leapfrog walk, meeting `B`'s view on the first `on`
+/// pair's columns in one coordinated seek/next merge, with any further
+/// `on` pairs checked as residual equalities inside matched groups. On
+/// a pooled engine the walk is split by `A`-key ranges across the
+/// workers; matched rows are buffered per range (memory in proportion
+/// to the result) and delivered on the calling thread in ascending key
+/// order, the same order a sequential engine produces.
 /// Evaluate with [`crate::engine::Engine::join_rel`].
 pub fn join<A: Relation, B: Relation>() -> Join<A, B> {
     Join {
@@ -920,16 +920,16 @@ impl<A: Relation, B: Relation> Join<A, B> {
 
 /// Starts a typed three-relation join over Gamma:
 /// `join3::<Edge, Edge, Edge>()`. Variable order is fixed as `A`, `B`,
-/// then `C` (declaration order; no optimizer): `A` and `B` leapfrog on
-/// the first [`Join3::on_ab`] pair, split across the pool by `A`-key
-/// range as in [`join`]. `C` is keyed by the first [`Join3::on_bc`]
-/// pair (else the first [`Join3::on_ac`] pair), looked up once per `b`
-/// (else per `a`) row. With both a `b`–`c` key and an `a`–`c` pair,
-/// the first `a`–`c` pair is intersected — each `c` binary-searches
-/// the matched `A` group, sorted once per key — rather than checked
-/// per `(a, b)` pair; every other pair is a residual check. Rows
-/// arrive in ascending `A`/`B`-key order with or without a pool, three
-/// tuple handles buffered per row on a pooled engine.
+/// then `C` (declaration order; no optimizer), on the same walk as
+/// [`join`]: `A` drives, and `B` leapfrogs it on the first
+/// [`Join3::on_ab`] pair. `C` seeks on its first [`Join3::on_bc`] pair
+/// once per `b` row; the first [`Join3::on_ac`] pair is then
+/// intersected — each `c` binary-searches the key's `A` group, sorted
+/// once per key — rather than checked per `(a, b)` pair. Without an
+/// `on_bc` pair, `C` seeks on the first `on_ac` pair once per `a` row.
+/// Every other pair is a residual check. Rows arrive in ascending
+/// `A`/`B`-key order with or without a pool, three tuple handles
+/// buffered per row on a pooled engine.
 /// Evaluate with [`crate::engine::Engine::join3_rel`].
 pub fn join3<A: Relation, B: Relation, C: Relation>() -> Join3<A, B, C> {
     Join3 {
@@ -957,14 +957,15 @@ impl<A: Relation, B: Relation, C: Relation> Join3<A, B, C> {
     }
 
     /// Adds the equi-join pair `b.field == c.field` (the first pair
-    /// keys the `C` lookup).
+    /// is the column `C` seeks on).
     pub fn on_bc<T: FieldValue>(mut self, b: Field<B, T>, c: Field<C, T>) -> Self {
         self.bc.push((b.index(), c.index()));
         self
     }
 
     /// Adds the equi-join pair `a.field == c.field` (the first pair is
-    /// intersected when `C` is keyed from `B`, and keys `C` otherwise).
+    /// intersected beside an `on_bc` pair, and is the column `C` seeks
+    /// on otherwise).
     pub fn on_ac<T: FieldValue>(mut self, a: Field<A, T>, c: Field<C, T>) -> Self {
         self.ac.push((a.index(), c.index()));
         self

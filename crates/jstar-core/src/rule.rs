@@ -35,22 +35,13 @@ pub struct JoinStage {
     /// The Gamma table this stage probes.
     pub probe_table: TableId,
     /// Equi-join pairs `((row, field), probe_field)`: field `field` of
-    /// row `row` — row 0 is the trigger tuple, row `k ≥ 1` is stage
-    /// `k`'s probed tuple — equates to `probe_field` of this stage's
-    /// candidate. Stage 1 may only reference row 0; stage `k` may
-    /// reference rows `0..k`.
+    /// row `row` equates to `probe_field` of this stage's candidate.
+    /// Row 0 is the trigger tuple and row `s + 1` is `stages[s]`'s
+    /// probed tuple, so `stages[s]` may reference rows `0..=s`. Which
+    /// pair a walk seeks on, which it intersects and which it checks
+    /// is decided by one rule over these pairs (the engine's `join`
+    /// module).
     pub keys: Vec<((usize, usize), usize)>,
-}
-
-impl JoinStage {
-    /// The key pairs whose source is the trigger row, as plain
-    /// `(trigger_field, probe_field)` — the PR 8 single-stage shape.
-    pub fn trigger_keys(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.keys
-            .iter()
-            .filter(|((row, _), _)| *row == 0)
-            .map(|&((_, tf), pf)| (tf, pf))
-    }
 }
 
 /// An inspectable (join → filter → emit) plan for a rule body.
@@ -67,13 +58,15 @@ impl JoinStage {
 ///
 /// The engine uses the shape to switch a whole extracted class to
 /// **delta-join execution** when the class clears
-/// [`crate::engine::EngineConfig::delta_join_threshold`]: one
-/// coordinated leapfrog walk over sorted column cursors per class
-/// instead of one indexed probe per tuple. The synthesized per-tuple
-/// body remains the below-threshold fallback, and it is also the only
-/// execution of a plan with a keyless stage: such a stage is a cross
-/// join with no column for a cursor to seek on, so the class fires per
-/// tuple at any size. Every mode produces the same emissions.
+/// [`crate::engine::EngineConfig::delta_join_threshold`]: the class is
+/// indexed on stage 0's first trigger field and driven through the
+/// same leapfrog walk that evaluates [`crate::relation::join`] and
+/// [`crate::relation::join3`] queries — one walk per class instead of
+/// one indexed probe per tuple. The synthesized per-tuple body remains
+/// the below-threshold fallback, and it is also the only execution of
+/// a plan with a keyless stage: such a stage is a cross join with no
+/// column for a cursor to seek on, so the class fires per tuple at any
+/// size. Every mode produces the same emissions.
 pub struct JoinPlan {
     /// The probe stages, in fixed variable order.
     pub stages: Vec<JoinStage>,
@@ -84,11 +77,6 @@ pub struct JoinPlan {
 }
 
 impl JoinPlan {
-    /// The first stage's probe table (every plan has at least one stage).
-    pub fn first_stage(&self) -> &JoinStage {
-        &self.stages[0]
-    }
-
     /// True when every stage has at least one equi-join key — the plans
     /// delta-join execution can walk with column cursors. A keyless
     /// stage makes the plan a cross join, which always fires per tuple.

@@ -199,20 +199,49 @@ fn join_program(dims: i64, srcs: i64, key_mod: i64, filt: i64) -> Arc<Program> {
     Arc::new(p.build().unwrap())
 }
 
+/// How stage 2 of [`join2_program`] is keyed. The leapfrog walk seeks,
+/// intersects or checks a pair depending on which rows it names, so
+/// each form takes a different branch of it.
+#[derive(Debug, Clone, Copy)]
+enum Stage2 {
+    /// `eq_p` only: seek from the stage-1 row.
+    Prev,
+    /// `eq_p` + `eq_t`, the triangles shape: seek from the stage-1 row
+    /// and intersect the trigger-sourced (closing) pair.
+    Closing,
+    /// `eq_t` only: seek from the trigger row.
+    Trigger,
+}
+
+fn stage2() -> impl Strategy<Value = Stage2> {
+    (0usize..3).prop_map(|i| [Stage2::Prev, Stage2::Closing, Stage2::Trigger][i])
+}
+
 /// A two-**stage** join program built in one of two lowerings that must
 /// be observationally identical:
 ///
 /// * `nested_loop = false` — one [`ProgramBuilder::rule_rel_join2`]
 ///   rule carrying the full two-stage [`jstar_core::rule::JoinPlan`]
-///   (`Src ⋈ Dim` on `k`, then `⋈ Dim` again on the first match's `w`),
+///   (`Src ⋈ Dim` on `k`, then `⋈ Dim` again keyed as `stage2` says),
 ///   eligible for batched delta-join execution and the leapfrog walk;
 /// * `nested_loop = true` — a hand-written opaque rule performing the
 ///   same join as two nested `ctx.query_rel` loops, invisible to every
 ///   join optimisation.
 ///
-/// Tables, orderings, seeds and the filter are identical, so the two
-/// programs must reach the same fixpoint with the same pop schedule.
-fn join2_program(dims: i64, srcs: i64, key_mod: i64, filt: i64, nested_loop: bool) -> Arc<Program> {
+/// With `pair1`, stage 1 carries a second key pair (`Src.v = Dim.w`),
+/// which the walk checks as a residual. Tables, orderings, seeds and
+/// the filter are identical, so the two programs must reach the same
+/// fixpoint with the same pop schedule.
+#[allow(clippy::too_many_arguments)]
+fn join2_program(
+    dims: i64,
+    srcs: i64,
+    key_mod: i64,
+    filt: i64,
+    stage2: Stage2,
+    pair1: bool,
+    nested_loop: bool,
+) -> Arc<Program> {
     let mut p = ProgramBuilder::new();
     p.relation::<Dim>();
     p.relation::<Src>();
@@ -225,8 +254,17 @@ fn join2_program(dims: i64, srcs: i64, key_mod: i64, filt: i64, nested_loop: boo
     };
     if nested_loop {
         p.rule_rel("chain-nested", move |ctx, s: Src| {
-            for d1 in ctx.query_rel(Dim::query().eq(Dim::k, s.k)) {
-                for d2 in ctx.query_rel(Dim::query().eq(Dim::k, d1.w)) {
+            let mut q1 = Dim::query().eq(Dim::k, s.k);
+            if pair1 {
+                q1 = q1.eq(Dim::w, s.v);
+            }
+            for d1 in ctx.query_rel(q1) {
+                let q2 = match stage2 {
+                    Stage2::Prev => Dim::query().eq(Dim::k, d1.w),
+                    Stage2::Closing => Dim::query().eq(Dim::k, d1.w).eq(Dim::w, s.k),
+                    Stage2::Trigger => Dim::query().eq(Dim::w, s.k),
+                };
+                for d2 in ctx.query_rel(q2) {
                     if filter(&s, &d1, &d2) {
                         ctx.put_rel(emit(&s, &d1, &d2));
                     }
@@ -234,10 +272,19 @@ fn join2_program(dims: i64, srcs: i64, key_mod: i64, filt: i64, nested_loop: boo
             }
         });
     } else {
+        let mut on1 = JoinOn::new().eq(Src::k, Dim::k);
+        if pair1 {
+            on1 = on1.eq(Src::v, Dim::w);
+        }
+        let on2 = match stage2 {
+            Stage2::Prev => JoinOn2::new().eq_p(Dim::w, Dim::k),
+            Stage2::Closing => JoinOn2::new().eq_p(Dim::w, Dim::k).eq_t(Src::k, Dim::w),
+            Stage2::Trigger => JoinOn2::new().eq_t(Src::k, Dim::w),
+        };
         p.rule_rel_join2(
             "chain-join",
-            JoinOn::new().eq(Src::k, Dim::k),
-            JoinOn2::new().eq_p(Dim::w, Dim::k),
+            on1,
+            on2,
             filter,
             move |ctx, s: &Src, d1: &Dim, d2: &Dim| {
                 ctx.put_rel(emit(s, d1, d2));
@@ -606,7 +653,9 @@ proptest! {
     /// the hand-written nested-loop lowering's results — same Gamma
     /// fixpoint, same content hash, and **bit-identical pop schedules**
     /// — sequentially, in parallel, and under the pipelined coordinator
-    /// with every epoch merged in parallel.
+    /// with every epoch merged in parallel. Stage 2 is keyed from the
+    /// stage-1 row, from both rows (the closing pair) or from the
+    /// trigger only, and stage 1 optionally carries a residual pair.
     #[test]
     fn typed_join_matches_nested_loop_lowering(
         dims in 1i64..25,
@@ -615,9 +664,11 @@ proptest! {
         filt in 1i64..6,
         threads in 2usize..6,
         threshold in 1usize..8,
+        stage2 in stage2(),
+        pair1 in any::<bool>(),
     ) {
-        let nested = join2_program(dims, srcs, key_mod, filt, true);
-        let joined = join2_program(dims, srcs, key_mod, filt, false);
+        let nested = join2_program(dims, srcs, key_mod, filt, stage2, pair1, true);
+        let joined = join2_program(dims, srcs, key_mod, filt, stage2, pair1, false);
 
         let mut reference = Engine::new(Arc::clone(&nested), EngineConfig::sequential());
         let ref_report = reference.run().unwrap();
