@@ -6,12 +6,17 @@
 //! `Catalog(item, cat)` dimension to the `Weight(cat, w)` table, and
 //! each matched chain emits one `Score(user, item, w)` — the weighted
 //! basket entry. The whole chain is **one two-stage join rule**
-//! ([`ProgramBuilder::rule_rel_join2`]): stage 1 resolves the item's
-//! category, stage 2 resolves the category's weight, and the leading
-//! key of stage 2 comes from stage 1's tuple — the shape the engine's
-//! leapfrog walk seeks on. A hand-rolled nested-loop baseline
-//! ([`baseline_total`]) pins down the expected aggregate.
+//! ([`ProgramBuilder::rule_rel_join2`], keyed by
+//! `join3::<Order, Catalog, Weight>()`): stage 1 resolves the item's
+//! category through the `on_ab` pair, stage 2 resolves the category's
+//! weight through the `on_bc` pair, whose key comes from stage 1's
+//! tuple — the shape the engine's leapfrog walk seeks on. Every put
+//! goes to a later stratum of the `order` chain, and both rules carry
+//! the causality models that prove it, so the program passes strict
+//! validation. A hand-rolled nested-loop baseline ([`baseline_total`])
+//! pins down the expected aggregate.
 
+use crate::forward_puts;
 use jstar_core::jstar_table;
 use jstar_core::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -154,15 +159,16 @@ pub fn build_program(spec: BasketSpec) -> BasketApp {
         for &(user, item) in &load_orders[lo..hi] {
             ctx.put_rel(Order { user, item });
         }
-    });
+    })
+    .model(forward_puts(&["Catalog", "Weight", "Order"]));
 
     // The whole chain in one rule: Order → Catalog (by item) → Weight
     // (by the category stage 1 produced).
     p.rule_rel_join2(
         "score-baskets",
-        JoinOn::new().eq(Order::item, Catalog::item),
-        JoinOn2::new().eq_p(Catalog::cat, Weight::cat),
-        |_o: &Order, _c: &Catalog, _w: &Weight| true,
+        join3::<Order, Catalog, Weight>()
+            .on_ab(Order::item, Catalog::item)
+            .on_bc(Catalog::cat, Weight::cat),
         |ctx, o: &Order, _c: &Catalog, w: &Weight| {
             ctx.put_rel(Score {
                 user: o.user,
@@ -170,7 +176,8 @@ pub fn build_program(spec: BasketSpec) -> BasketApp {
                 w: w.w,
             });
         },
-    );
+    )
+    .model(forward_puts(&["Score"]));
 
     for task in 0..spec.tasks {
         p.put_rel(Load { id: task as i64 });

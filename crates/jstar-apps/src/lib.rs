@@ -27,3 +27,21 @@ pub mod pvwatts;
 pub mod ship;
 pub mod shortest_path;
 pub mod triangles;
+
+use jstar_core::prelude::{CausalityModel, PutModel};
+
+/// The causality model of a rule whose effects are only puts into
+/// `tables`, each a later stratum of the program's `order` chain than
+/// the trigger's: the strata alone prove every put, so there are no
+/// guards, bindings or queries to model.
+pub(crate) fn forward_puts(tables: &[&str]) -> CausalityModel {
+    let put = |t: &&str| PutModel {
+        out_table: t.to_string(),
+        label: format!("put {t}"),
+        ..PutModel::default()
+    };
+    CausalityModel {
+        puts: tables.iter().map(put).collect(),
+        ..CausalityModel::default()
+    }
+}

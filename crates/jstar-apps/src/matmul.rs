@@ -218,23 +218,20 @@ pub fn build_program(n: usize, a: Arc<Vec<i64>>, b: Arc<Vec<i64>>) -> MatMulApp 
         queries: vec![],
     };
     let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
-    p.rule_rel_with_model(
-        "load-and-fan-out",
-        load_model,
-        move |ctx, req: MultRequest| {
-            let n = req.n as usize;
-            let store = ctx.store(ctx.rel::<Matrix>().id());
-            let mstore = store
-                .as_any()
-                .downcast_ref::<MatrixStore>()
-                .expect("Matrix table uses MatrixStore");
-            mstore.load(MAT_A, &a2);
-            mstore.load(MAT_B, &b2);
-            for row in 0..n {
-                ctx.put_rel(RowRequest { row: row as i64 });
-            }
-        },
-    );
+    p.rule_rel("load-and-fan-out", move |ctx, req: MultRequest| {
+        let n = req.n as usize;
+        let store = ctx.store(ctx.rel::<Matrix>().id());
+        let mstore = store
+            .as_any()
+            .downcast_ref::<MatrixStore>()
+            .expect("Matrix table uses MatrixStore");
+        mstore.load(MAT_A, &a2);
+        mstore.load(MAT_B, &b2);
+        for row in 0..n {
+            ctx.put_rel(RowRequest { row: row as i64 });
+        }
+    })
+    .model(load_model);
 
     // Rule 2: each row request computes one output row — "loops over all
     // the columns of that row, and uses a nested loop with a summation
@@ -250,7 +247,7 @@ pub fn build_program(n: usize, a: Arc<Vec<i64>>, b: Arc<Vec<i64>>) -> MatMulApp 
         }],
         queries: vec![],
     };
-    p.rule_rel_with_model("compute-row", row_model, move |ctx, t: RowRequest| {
+    p.rule_rel("compute-row", move |ctx, t: RowRequest| {
         let row = t.row as usize;
         let store = ctx.store(ctx.rel::<Matrix>().id());
         let m = store
@@ -266,7 +263,8 @@ pub fn build_program(n: usize, a: Arc<Vec<i64>>, b: Arc<Vec<i64>>) -> MatMulApp 
             }
             m.set(MAT_C, row, col, sum);
         }
-    });
+    })
+    .model(row_model);
 
     p.put_rel(MultRequest { n: n as i64 });
 

@@ -301,7 +301,7 @@ pub fn build_program(data_len: usize, regions: usize) -> MedianApp {
             }],
         }
     };
-    p.rule_rel_with_model("control", ctl_model, move |ctx, t: Ctl| {
+    p.rule_rel("control", move |ctx, t: Ctl| {
         let (iter, k) = (t.iter, t.k as usize);
         let mut segments: Vec<(usize, usize)> = Vec::new();
         ctx.for_each_rel(Seg::query().eq(Seg::iter, iter), |s: Seg| {
@@ -332,7 +332,8 @@ pub fn build_program(data_len: usize, regions: usize) -> MedianApp {
                 pivot,
             });
         }
-    });
+    })
+    .model(ctl_model);
 
     // Partition task: the parallel phase.
     let part_model = {
@@ -358,7 +359,7 @@ pub fn build_program(data_len: usize, regions: usize) -> MedianApp {
             queries: vec![],
         }
     };
-    p.rule_rel_with_model("partition", part_model, move |ctx, t: PartReq| {
+    p.rule_rel("partition", move |ctx, t: PartReq| {
         let (lo, hi) = (t.lo as usize, t.hi as usize);
         let store = ctx.store(ctx.rel::<Data>().id());
         let arr = store
@@ -378,7 +379,8 @@ pub fn build_program(data_len: usize, regions: usize) -> MedianApp {
         });
         // One Collect per iteration (set semantics dedups the copies).
         ctx.put_rel(Collect { iter: t.iter });
-    });
+    })
+    .model(part_model);
 
     // Collector: aggregate the region reports and recurse on the side
     // containing the k-th element.
@@ -441,7 +443,7 @@ pub fn build_program(data_len: usize, regions: usize) -> MedianApp {
             ],
         }
     };
-    p.rule_rel_with_model("collect", col_model, move |ctx, t: Collect| {
+    p.rule_rel("collect", move |ctx, t: Collect| {
         let iter = t.iter;
         // Aggregate the per-region reports, in region order.
         let mut rows: Vec<(i64, usize, usize, usize, usize)> = Vec::new(); // region, lo, hi, less, eq
@@ -495,7 +497,8 @@ pub fn build_program(data_len: usize, regions: usize) -> MedianApp {
             iter: iter + 1,
             k: next_k as i64,
         });
-    });
+    })
+    .model(col_model);
 
     // Initial segments (N consecutive regions) and the first controller.
     let k = (data_len - 1) / 2; // lower median

@@ -122,7 +122,7 @@ pub fn build_program(csv: Arc<Vec<u8>>, n_readers: usize) -> PvWattsApp {
         queries: vec![],
     };
     let csv_for_read = Arc::clone(&csv);
-    p.rule_rel_with_model("read-csv", read_model, move |ctx, req: PvWattsRequest| {
+    p.rule_rel("read-csv", move |ctx, req: PvWattsRequest| {
         let (start, end) = (req.start as usize, req.end as usize);
         let reader = jstar_csv::RegionReader::new(&csv_for_read, start, end);
         for rec in reader.records() {
@@ -136,7 +136,8 @@ pub fn build_program(csv: Arc<Vec<u8>>, n_readers: usize) -> PvWattsApp {
                 });
             }
         }
-    });
+    })
+    .model(read_model);
 
     // Rule 2: foreach (PvWatts pv) { put new SumMonth(pv.year, pv.month); }
     let month_model = CausalityModel {
@@ -150,12 +151,13 @@ pub fn build_program(csv: Arc<Vec<u8>>, n_readers: usize) -> PvWattsApp {
         }],
         queries: vec![],
     };
-    p.rule_rel_with_model("request-month", month_model, move |ctx, pv: PvWatts| {
+    p.rule_rel("request-month", move |ctx, pv: PvWatts| {
         ctx.put_rel(SumMonth {
             year: pv.year,
             month: pv.month,
         });
-    });
+    })
+    .model(month_model);
 
     // Rule 3: foreach (SumMonth s) { Statistics over PvWatts(s.year, s.month) }
     let sum_model = CausalityModel {
@@ -176,7 +178,7 @@ pub fn build_program(csv: Arc<Vec<u8>>, n_readers: usize) -> PvWattsApp {
         .bind_eq(PvWatts::year)
         .bind_eq(PvWatts::month)
         .prepare(pvwatts_h);
-    p.rule_rel_with_model("summarise", sum_model, move |ctx, s: SumMonth| {
+    p.rule_rel("summarise", move |ctx, s: SumMonth| {
         let (year, month) = (s.year, s.month);
         let store = ctx.store(ctx.rel::<PvWatts>().id());
         let stats = if let Some(ms) = store.as_any().downcast_ref::<MonthArrayStore>() {
@@ -196,7 +198,8 @@ pub fn build_program(csv: Arc<Vec<u8>>, n_readers: usize) -> PvWattsApp {
             (st.count, st.sum)
         };
         ctx.println(format!("{year}/{month}: {}", stats.1 / stats.0 as f64));
-    });
+    })
+    .model(sum_model);
 
     // Initial puts: one region request per reader (Fig. 7's phase 1).
     let regions = jstar_csv::split_regions(csv.len(), n_readers.max(1));

@@ -83,11 +83,12 @@ pub fn program(max_frame: i64) -> Program {
         queries: vec![],
     };
 
-    p.rule_rel_with_model("move", model, move |ctx, s: Ship| {
+    p.rule_rel("move", move |ctx, s: Ship| {
         if s.frame < max_frame {
             ctx.put_rel(next_state(s));
         }
-    });
+    })
+    .model(model);
 
     p.put_rel(Ship {
         frame: 0,

@@ -183,7 +183,7 @@ pub fn build_program(spec: GraphSpec) -> ShortestPathApp {
         }],
         queries: vec![],
     };
-    p.rule_rel_with_model("generate-graph", gen_model, move |ctx, t: GenTask| {
+    p.rule_rel("generate-graph", move |ctx, t: GenTask| {
         let task = t.id as u32;
         for (from, to, w) in task_edges(&spec, task) {
             ctx.put_rel(Edge {
@@ -192,7 +192,8 @@ pub fn build_program(spec: GraphSpec) -> ShortestPathApp {
                 value: w as i64,
             });
         }
-    });
+    })
+    .model(gen_model);
 
     // The Dijkstra rule, verbatim from Fig. 5.
     let dijkstra_model = {
@@ -262,7 +263,7 @@ pub fn build_program(spec: GraphSpec) -> ShortestPathApp {
         .prepare(done_h);
     let edges_from = Edge::query().bind_eq(Edge::from).prepare(edge_h);
     let done_probe = Done::query().bind_eq(Done::vertex).prepare(done_h);
-    p.rule_rel_with_model("dijkstra", dijkstra_model, move |ctx, dist: Estimate| {
+    p.rule_rel("dijkstra", move |ctx, dist: Estimate| {
         let (v, d) = (dist.vertex, dist.distance);
         // if (get uniq? Done(dist.vertex, [distance < dist.distance]) == null)
         // (distance <= d also suppresses re-finalising at an equal
@@ -288,7 +289,8 @@ pub fn build_program(spec: GraphSpec) -> ShortestPathApp {
                 true
             });
         }
-    });
+    })
+    .model(dijkstra_model);
 
     // Initial puts: the generation tasks and the origin estimate.
     for task in 0..spec.tasks {

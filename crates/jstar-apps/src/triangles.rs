@@ -3,12 +3,14 @@
 //!
 //! The program lists each triangle `a < b < c` exactly once via **one
 //! two-stage join rule**: the trigger `Probe(a, b)` extends through
-//! `Edge(b, c)` (stage 1, residual `b < c`) and closes through
-//! `Edge(c, a)` (stage 2) in a single descent — no intermediate wedge
-//! relation is materialised. The rule is registered through
-//! [`ProgramBuilder::rule_rel_join2`], so it carries an inspectable
-//! two-stage [`JoinPlan`] and every `Probe` stratum drains through the
-//! engine's batched delta-join pass: the class, indexed on `b`, drives
+//! `Edge(b, c)` (stage 1) and closes through `Edge(c, a)` (stage 2) in
+//! a single descent, and its emit keeps `b < c` — no intermediate
+//! wedge relation is materialised. The rule is registered through
+//! [`ProgramBuilder::rule_rel_join2`], keyed by a
+//! `join3::<Probe, Edge, Edge>()` (the builder the read-side count
+//! below uses too), so it carries an inspectable two-stage
+//! [`JoinPlan`] and every `Probe` stratum drains through the engine's
+//! batched delta-join pass: the class, indexed on `b`, drives
 //! the engine's one leapfrog walk over the cached `Edge` views. The
 //! `delta_join` section of `bench_hotpath` A/B-compares that walk
 //! against per-tuple firing on this program and records the
@@ -23,7 +25,12 @@
 //! by the closing field, each closing-edge candidate binary-searches
 //! them, and the closing edge is sought once per wedge edge rather
 //! than once per (driver, wedge) pair.
+//!
+//! Every put goes to a later stratum of the `Load < Edge < Probe < Tri`
+//! chain; both rules carry the causality models that prove it, so the
+//! program passes strict validation.
 
+use crate::forward_puts;
 use jstar_core::jstar_table;
 use jstar_core::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -181,28 +188,31 @@ pub fn build_program(spec: TriSpec) -> TrianglesApp {
                 b: b as i64,
             });
         }
-    });
+    })
+    .model(forward_puts(&["Edge", "Probe"]));
 
     // The whole triangle in one rule: extend the edge a–b (a < b) by a
-    // higher neighbour c of b (stage 1, residual b < c), then require
-    // the closing edge c→a (stage 2 — both directions are stored, so it
-    // exists iff a ~ c). Stage 2 seeks on the key from stage 1's
-    // tuple; the trigger-sourced pair is intersected.
+    // neighbour c of b (stage 1), then require the closing edge c→a
+    // (stage 2 — both directions are stored, so it exists iff a ~ c),
+    // and keep c when it is higher than b. Stage 2 seeks on the key
+    // from stage 1's tuple; the trigger-sourced pair is intersected.
     p.rule_rel_join2(
         "triangles",
-        JoinOn::new().eq(Probe::b, Edge::from),
-        JoinOn2::new()
-            .eq_p(Edge::to, Edge::from)
-            .eq_t(Probe::a, Edge::to),
-        |p: &Probe, e1: &Edge, _e2: &Edge| p.b < e1.to,
+        join3::<Probe, Edge, Edge>()
+            .on_ab(Probe::b, Edge::from)
+            .on_bc(Edge::to, Edge::from)
+            .on_ac(Probe::a, Edge::to),
         |ctx, p: &Probe, e1: &Edge, _e2: &Edge| {
-            ctx.put_rel(Triangle {
-                a: p.a,
-                b: p.b,
-                c: e1.to,
-            });
+            if p.b < e1.to {
+                ctx.put_rel(Triangle {
+                    a: p.a,
+                    b: p.b,
+                    c: e1.to,
+                });
+            }
         },
-    );
+    )
+    .model(forward_puts(&["Triangle"]));
 
     for task in 0..spec.tasks {
         p.put_rel(Load { id: task as i64 });
@@ -374,6 +384,22 @@ mod tests {
             lf.index_cache_misses,
             lf.join_cursor_opens
         );
+    }
+
+    #[test]
+    fn pooled_walk_seeks_repeat_exactly() {
+        // The walk's key ranges depend on the key and thread counts
+        // alone and every view's groups are sorted, so the cursors
+        // gallop the same way on every run.
+        let spec = TriSpec::new(2_000, 8_000, 4, 42);
+        let seeks = || {
+            let (_, report) = run_jstar_report(spec, EngineConfig::parallel(4)).unwrap();
+            assert!(report.delta_join_classes > 0, "walk engaged: {report:?}");
+            report.join_seeks
+        };
+        let first = seeks();
+        assert!(first > 0);
+        assert_eq!(seeks(), first);
     }
 
     #[test]

@@ -623,10 +623,7 @@ impl Engine {
             !j.on.is_empty(),
             "join::<A, B>() requires at least one on() pair"
         );
-        let stages = [JoinStage {
-            probe_table: self.handle::<B>().id(),
-            keys: j.on.iter().map(|&(a, b)| ((0, a), b)).collect(),
-        }];
+        let stages = j.stages(self.handle::<B>().id());
         self.read_join(self.handle::<A>().id(), &stages, |[a, b]| {
             f(A::from_tuple(a), B::from_tuple(b))
         });
@@ -650,18 +647,7 @@ impl Engine {
             !(j.bc.is_empty() && j.ac.is_empty()),
             "join3 requires an on_bc() or on_ac() pair to key C"
         );
-        let stages = [
-            JoinStage {
-                probe_table: self.handle::<B>().id(),
-                keys: j.ab.iter().map(|&(a, b)| ((0, a), b)).collect(),
-            },
-            JoinStage {
-                probe_table: self.handle::<C>().id(),
-                keys: (j.bc.iter().map(|&(b, c)| ((1, b), c)))
-                    .chain(j.ac.iter().map(|&(a, c)| ((0, a), c)))
-                    .collect(),
-            },
-        ];
+        let stages = j.stages(self.handle::<B>().id(), self.handle::<C>().id());
         self.read_join(self.handle::<A>().id(), &stages, |[a, b, c]| {
             f(A::from_tuple(a), B::from_tuple(b), C::from_tuple(c))
         });

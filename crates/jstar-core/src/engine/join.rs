@@ -63,17 +63,19 @@ pub(super) fn record_seeks(state: &RunState, seeks: u64) {
     state.stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
 }
 
-/// Runs `task` on the pool over [`jstar_pool::adaptive_chunk`]-sized
-/// ranges of the driver positions `0..keys` and returns the results in
-/// range order — or `None`, meaning walk inline, when there is no pool,
-/// it has one thread, or there is a single key.
+/// Runs `task` on the pool over ranges of the driver positions
+/// `0..keys`, four per thread, and returns the results in range order —
+/// or `None`, meaning walk inline, when there is no pool, it has one
+/// thread, or there is a single key. The ranges depend on the key and
+/// thread counts alone, so a walk's counted seeks are the same on every
+/// run.
 pub(super) fn split<R: Send>(
     pool: Option<&ThreadPool>,
     keys: usize,
     task: impl Fn(Range<usize>) -> R + Sync,
 ) -> Option<Vec<R>> {
     let pool = pool.filter(|p| keys > 1 && p.num_threads() > 1)?;
-    let chunk = jstar_pool::adaptive_chunk(pool, keys);
+    let chunk = keys.div_ceil(4 * pool.num_threads());
     let task = &task;
     let ranges = (0..keys).step_by(chunk).map(|lo| lo..keys.min(lo + chunk));
     let tasks: Vec<_> = ranges.map(|range| move || task(range)).collect();
@@ -262,6 +264,42 @@ mod tests {
 
     fn step(row: usize, source: Source, checks: &[(usize, usize, usize)]) -> Step {
         (row, source, checks.to_vec())
+    }
+
+    /// A backlog of queued jobs leaves the ranges as an idle pool's:
+    /// four per thread.
+    #[test]
+    fn split_ignores_the_pool_backlog() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let pool = ThreadPool::new(2);
+        let ranges = |pool: &ThreadPool| split(Some(pool), 100, |r| r).unwrap();
+        let idle = ranges(&pool);
+        assert_eq!(idle.len(), 8);
+        assert_eq!(idle[0], 0..13);
+
+        // Block both workers (for at most 5 s), then queue two jobs
+        // behind them; the calling thread runs the split's tasks itself
+        // while it waits. ord: Acquire/Release — the flag only ends the
+        // blockers' spin; no data is published through it.
+        let release = Arc::new(AtomicBool::new(false));
+        let start = Instant::now();
+        for _ in 0..2 {
+            let release = Arc::clone(&release);
+            pool.execute(move || {
+                while !release.load(Ordering::Acquire) && start.elapsed() < Duration::from_secs(5) {
+                    std::thread::yield_now();
+                }
+            });
+        }
+        while pool.pending_jobs() > 0 {
+            std::thread::yield_now();
+        }
+        (0..2).for_each(|_| pool.execute(|| {}));
+        assert!(pool.pending_jobs() >= pool.num_threads());
+        let busy = ranges(&pool);
+        release.store(true, Ordering::Release);
+        assert_eq!(busy, idle);
     }
 
     /// The steps each stage-2 form of a two-stage plan lowers to; stage

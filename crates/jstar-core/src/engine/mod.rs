@@ -96,8 +96,9 @@
 //! * **Delta-join** (`runtime::process_class_delta_join`): when the
 //!   class's table triggers at least one rule carrying an inspectable
 //!   [`crate::rule::JoinPlan`] — registered through
-//!   `ProgramBuilder::rule_rel_join`, which records which trigger
-//!   fields equate to which probe-table fields — and the class has at
+//!   `ProgramBuilder::rule_rel_join` / `rule_rel_join2`, whose
+//!   `join()` / `join3()` key set records which trigger fields equate
+//!   to which probe-table fields — and the class has at
 //!   least [`EngineConfig::delta_join_threshold`] tuples, the whole
 //!   class is treated as the semi-naive *delta*: its fresh tuples,
 //!   indexed on the plan's first trigger field, drive the leapfrog walk

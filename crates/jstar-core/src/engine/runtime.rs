@@ -387,9 +387,7 @@ fn run_join_rule(
     let task = |range: Range<usize>| {
         let ctx = RuleCtx::new(state, key, &rule.name);
         join::walk(&driver, &views, &plan.stages, range, &mut |rows| {
-            if (plan.filter)(rows) {
-                (plan.emit)(&ctx, rows);
-            }
+            (plan.emit)(&ctx, rows)
         })
     };
     let seeks = match join::split(pool, driver.len(), task) {

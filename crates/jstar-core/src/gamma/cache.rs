@@ -22,13 +22,11 @@
 //!   wholesale (hints run a handful of times per run).
 //!
 //! Catch-up preserves the cold-build contract exactly: a cold build
-//! walks the journal in order, so group-internal tuple order is journal
-//! order; suffix tuples carry later journal positions than every cached
-//! tuple, so appending them after the cached group
-//! ([`ColumnIndex::merge_suffix`]) reproduces the order a cold rebuild
-//! over the longer journal would emit. Stores without a claim journal
-//! ([`super::BTreeStore`], custom stores) report no stamp and stay on
-//! the cold path.
+//! sorts every group, and merging the sorted suffix groups into the
+//! cached ones ([`ColumnIndex::merge_suffix`]) reproduces the groups a
+//! cold rebuild over the longer journal would emit. Stores without a
+//! claim journal ([`super::BTreeStore`], custom stores) report no stamp
+//! and stay on the cold path.
 //!
 //! Caching is unconditional, and catch-up runs lazily, on the opening
 //! walk.
@@ -40,7 +38,7 @@
 //! walk sound is the claim journal's own publish protocol (see
 //! CONCURRENCY.md protocol 6).
 
-use super::cursor::ColumnIndex;
+use super::cursor::{group_rows, ColumnIndex};
 use super::TableStore;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -201,31 +199,20 @@ impl IndexCache {
     }
 }
 
-/// Sorts the live tuples at journal positions `[lo, hi)` of `store` into
-/// strictly-ascending `(value, group)` pairs on `field`. Returns the
-/// groups, the stable bound actually covered (`<= hi` — in-flight
-/// appends clamp it), and the tuple count. The sort is stable, so
-/// group-internal order stays journal order.
+/// Groups the live tuples at journal positions `[lo, hi)` of `store`
+/// into strictly-ascending `(value, group)` pairs on `field`. Returns
+/// the groups, the stable bound actually covered (`<= hi` — in-flight
+/// appends clamp it), and the tuple count.
 fn suffix_groups(
     store: &dyn TableStore,
     field: usize,
     lo: usize,
     hi: usize,
 ) -> (Vec<(Value, Vec<Tuple>)>, usize, usize) {
-    let mut pairs: Vec<(Value, Tuple)> = Vec::new();
-    let covered = store.for_each_journal_suffix(lo, hi, &mut |t| {
-        pairs.push((t.get(field).clone(), t.clone()));
-    });
-    let n = pairs.len();
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut groups: Vec<(Value, Vec<Tuple>)> = Vec::new();
-    for (v, t) in pairs {
-        match groups.last_mut() {
-            Some((last, g)) if *last == v => g.push(t),
-            _ => groups.push((v, vec![t])),
-        }
-    }
-    (groups, covered, n)
+    let mut rows = Vec::new();
+    let covered = store.for_each_journal_suffix(lo, hi, &mut |t| rows.push(t.clone()));
+    let n = rows.len();
+    (group_rows(field, rows), covered, n)
 }
 
 /// Evicts least-recently-used entries until the table's total is within

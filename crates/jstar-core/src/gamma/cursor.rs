@@ -23,7 +23,6 @@
 
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A store-iteration callback: invoked with a sink that must be fed
@@ -32,8 +31,10 @@ use std::sync::Arc;
 pub type TupleVisit<'a> = dyn FnMut(&mut dyn FnMut(&Tuple)) + 'a;
 
 /// An immutable sorted view of one column of a table store: distinct
-/// values ascending, each with its group of tuples (in store iteration
-/// order). Shared across the workers of one join walk.
+/// values ascending, each with its group of tuples, itself sorted — an
+/// order fixed by the tuples alone, not by the order concurrent puts
+/// landed in, so a walk over the view seeks the same way on every run.
+/// Shared across the workers of one join walk.
 pub struct ColumnIndex {
     groups: Vec<(Value, Vec<Tuple>)>,
 }
@@ -44,12 +45,10 @@ impl ColumnIndex {
     /// stores with an ordered representation can construct the groups
     /// directly from their sorted iteration instead.
     pub fn build(field: usize, visit: &mut TupleVisit<'_>) -> ColumnIndex {
-        let mut map: BTreeMap<Value, Vec<Tuple>> = BTreeMap::new();
-        visit(&mut |t| {
-            map.entry(t.get(field).clone()).or_default().push(t.clone());
-        });
+        let mut rows = Vec::new();
+        visit(&mut |t| rows.push(t.clone()));
         ColumnIndex {
-            groups: map.into_iter().collect(),
+            groups: group_rows(field, rows),
         }
     }
 
@@ -91,11 +90,10 @@ impl ColumnIndex {
 
     /// Two-way merges a sorted batch of *new* groups into this index,
     /// producing the caught-up index: values interleave in ascending
-    /// order, and where a value exists on both sides the new tuples are
-    /// appended **after** the cached ones — new tuples carry later
-    /// journal positions, so the merged group order stays journal order,
-    /// exactly what a cold rebuild over the longer journal would emit.
-    /// `new` must be strictly ascending (like `from_sorted`'s input).
+    /// order, and where a value exists on both sides the two sorted
+    /// groups are merged — exactly what a cold rebuild over the longer
+    /// journal would emit. `new` must be strictly ascending (like
+    /// `from_sorted`'s input).
     pub(crate) fn merge_suffix(&self, new: Vec<(Value, Vec<Tuple>)>) -> ColumnIndex {
         let old = &self.groups;
         let mut merged: Vec<(Value, Vec<Tuple>)> = Vec::with_capacity(old.len() + new.len());
@@ -108,6 +106,9 @@ impl ColumnIndex {
             if oi < old.len() && old[oi].0 == v {
                 let mut both = old[oi].1.clone();
                 both.extend(g);
+                // Two sorted runs: the stable sort merges them in
+                // linear time.
+                both.sort();
                 merged.push((v, both));
                 oi += 1;
             } else {
@@ -262,9 +263,31 @@ impl ColumnCursor {
     }
 }
 
+/// Groups `rows` on `field` into strictly ascending `(value, group)`
+/// pairs, each group sorted. The stable sort by value keeps each group
+/// in arrival order, so a group that arrives mostly sorted costs little
+/// more than one pass to sort.
+pub(crate) fn group_rows(field: usize, rows: Vec<Tuple>) -> Vec<(Value, Vec<Tuple>)> {
+    let mut pairs: Vec<(Value, Tuple)> = rows
+        .into_iter()
+        .map(|t| (t.get(field).clone(), t))
+        .collect();
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut groups: Vec<(Value, Vec<Tuple>)> = Vec::new();
+    for (v, t) in pairs {
+        match groups.last_mut() {
+            Some((last, g)) if *last == v => g.push(t),
+            _ => groups.push((v, vec![t])),
+        }
+    }
+    groups.iter_mut().for_each(|(_, g)| g.sort());
+    groups
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn index(vals: &[i64]) -> Arc<ColumnIndex> {
         let mut map: BTreeMap<Value, Vec<Tuple>> = BTreeMap::new();
@@ -314,6 +337,29 @@ mod tests {
         assert_eq!(c.group().map(|g| g.len()), Some(2));
         c.next();
         assert!(c.is_exhausted());
+    }
+
+    #[test]
+    fn groups_do_not_depend_on_visit_or_merge_order() {
+        let rows: Vec<Tuple> = [(1, 9), (2, 5), (1, 3), (2, 7), (1, 6)]
+            .iter()
+            .map(|&(k, v)| {
+                Tuple::new(
+                    crate::schema::TableId(0),
+                    vec![Value::Int(k), Value::Int(v)],
+                )
+            })
+            .collect();
+        let build = |rows: &[Tuple]| ColumnIndex::build(0, &mut |sink| rows.iter().for_each(sink));
+        let forward = build(&rows);
+        let reversed: Vec<Tuple> = rows.iter().rev().cloned().collect();
+        assert_eq!(forward.groups(), build(&reversed).groups());
+        let key1: Vec<i64> = forward.groups()[0].1.iter().map(|t| t.int(1)).collect();
+        assert_eq!(key1, [3, 6, 9], "the group is sorted");
+        // A catch-up merge of the last rows lands on the cold build.
+        let cold_prefix = build(&rows[..3]);
+        let suffix = build(&rows[3..]).groups().to_vec();
+        assert_eq!(cold_prefix.merge_suffix(suffix).groups(), forward.groups());
     }
 
     #[test]

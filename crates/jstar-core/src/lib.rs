@@ -97,7 +97,7 @@ pub mod prelude {
     pub use crate::error::{JStarError, Result};
     pub use crate::gamma::{Gamma, IndexCacheStats, InsertOutcome, StoreKind, TableStore};
     pub use crate::orderby::{par, seq, strat, OrderKey};
-    pub use crate::program::{Program, ProgramBuilder};
+    pub use crate::program::{NewRule, Program, ProgramBuilder};
     pub use crate::query::Query;
     pub use crate::reduce::{
         reduce_par, reduce_seq, CountReducer, MaxIntReducer, MinIntReducer, Reducer, Statistics,
@@ -105,7 +105,7 @@ pub mod prelude {
     };
     pub use crate::relation::{
         join, join3, Binder, ColumnSpec, ConstraintKind, ConstraintShape, Field, FieldValue, Join,
-        Join3, JoinOn, JoinOn2, PreparedQuery, Relation, TableHandle, TypedQuery,
+        Join3, PreparedQuery, Relation, TableHandle, TypedQuery,
     };
     pub use crate::rule::{JoinPlan, JoinStage};
     pub use crate::schema::{TableDef, TableId};

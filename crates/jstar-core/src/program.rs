@@ -3,8 +3,10 @@
 //! Programs are normally assembled through the **typed layer**: declare
 //! relations with the [`crate::jstar_table!`] item form, register them
 //! with [`ProgramBuilder::relation`], attach rules with
-//! [`ProgramBuilder::rule_rel`] / [`ProgramBuilder::rule_rel_with_model`]
-//! (bodies receive decoded relation structs), and seed the run with
+//! [`ProgramBuilder::rule_rel`] (bodies receive decoded relation
+//! structs) or, for joins, [`ProgramBuilder::rule_rel_join`] /
+//! [`ProgramBuilder::rule_rel_join2`], give any of them a causality
+//! model through the returned [`NewRule`], and seed the run with
 //! [`ProgramBuilder::put_rel`]. The positional entry points
 //! ([`ProgramBuilder::table`], [`ProgramBuilder::rule`],
 //! [`ProgramBuilder::put`]) remain as the low-level escape hatch for
@@ -26,8 +28,8 @@ use crate::engine::RuleCtx;
 use crate::error::{JStarError, Result};
 use crate::orderby::{OrderComponent, OrderKey, ResolvedOrderBy};
 use crate::query::Query;
-use crate::relation::{JoinOn, JoinOn2, Relation, TableHandle};
-use crate::rule::{JoinPlan, JoinStage, Rule, RuleBody};
+use crate::relation::{Join, Join3, Relation, TableHandle};
+use crate::rule::{JoinEmit, JoinPlan, JoinStage, Rule, RuleBody};
 use crate::schema::{TableDef, TableDefBuilder, TableId};
 use crate::stats::DependencyGraph;
 use crate::strata::{StrataBuilder, StrataOrder};
@@ -138,44 +140,22 @@ impl ProgramBuilder {
             .push(chain.iter().map(|s| s.to_string()).collect());
     }
 
-    /// Adds a rule without a causality model (strict validation will flag
-    /// it, like the paper's compiler warning for unproved rules).
+    /// Adds a rule. Strict validation flags it, like the paper's
+    /// compiler warning for unproved rules, unless a causality model is
+    /// attached through the returned [`NewRule`].
     pub fn rule(
         &mut self,
         name: &str,
         trigger: TableId,
         body: impl Fn(&RuleCtx<'_>, &Tuple) + Send + Sync + 'static,
-    ) {
-        self.rules.push(Rule {
-            name: name.to_string(),
-            trigger,
-            body: Arc::new(body) as RuleBody,
-            model: None,
-            plan: None,
-        });
-    }
-
-    /// Adds a rule together with its causality model for static checking.
-    pub fn rule_with_model(
-        &mut self,
-        name: &str,
-        trigger: TableId,
-        model: CausalityModel,
-        body: impl Fn(&RuleCtx<'_>, &Tuple) + Send + Sync + 'static,
-    ) {
-        self.rules.push(Rule {
-            name: name.to_string(),
-            trigger,
-            body: Arc::new(body) as RuleBody,
-            model: Some(model),
-            plan: None,
-        });
+    ) -> NewRule<'_> {
+        self.push_rule(name, trigger, Arc::new(body), None)
     }
 
     /// Adds a typed rule: `R`'s table triggers it and the body receives
     /// the decoded relation struct instead of a raw tuple. The relation
-    /// is auto-registered. Strict validation flags the missing
-    /// causality model, as with [`ProgramBuilder::rule`].
+    /// is auto-registered. A causality model is attached as with
+    /// [`ProgramBuilder::rule`].
     ///
     /// ```
     /// use jstar_core::prelude::*;
@@ -196,181 +176,106 @@ impl ProgramBuilder {
         &mut self,
         name: &str,
         body: impl Fn(&RuleCtx<'_>, R) + Send + Sync + 'static,
-    ) {
+    ) -> NewRule<'_> {
         let trigger = self.relation::<R>().id();
-        self.rules.push(Rule {
-            name: name.to_string(),
-            trigger,
-            body: Arc::new(move |ctx: &RuleCtx<'_>, t: &Tuple| body(ctx, R::from_tuple(t)))
-                as RuleBody,
-            model: None,
-            plan: None,
-        });
+        let body = move |ctx: &RuleCtx<'_>, t: &Tuple| body(ctx, R::from_tuple(t));
+        self.push_rule(name, trigger, Arc::new(body), None)
     }
 
-    /// Adds a typed rule together with its causality model for static
-    /// checking — the typed twin of [`ProgramBuilder::rule_with_model`].
-    pub fn rule_rel_with_model<R: Relation>(
-        &mut self,
-        name: &str,
-        model: CausalityModel,
-        body: impl Fn(&RuleCtx<'_>, R) + Send + Sync + 'static,
-    ) {
-        let trigger = self.relation::<R>().id();
-        self.rules.push(Rule {
-            name: name.to_string(),
-            trigger,
-            body: Arc::new(move |ctx: &RuleCtx<'_>, t: &Tuple| body(ctx, R::from_tuple(t)))
-                as RuleBody,
-            model: Some(model),
-            plan: None,
-        });
-    }
-
-    /// Adds a typed **join rule** — a rule whose body is expressible as
-    /// (join → filter → emit): for each trigger row `R`, probe `S`'s
-    /// Gamma table where every `on` key pair is equal, keep the
-    /// `(trigger, probed)` pairs passing `filter`, and run `emit` on
-    /// each survivor.
+    /// Adds a typed **join rule**: for each trigger row `R`, probe
+    /// `S`'s Gamma table where every `on` pair of the [`join`] key set
+    /// is equal, and run `emit` on each `(trigger, probed)` pair; `emit`
+    /// tests any residual condition before it puts.
     ///
     /// Unlike [`ProgramBuilder::rule_rel`], the registered rule carries
     /// an inspectable [`crate::rule::JoinPlan`] alongside the
     /// synthesized per-tuple body. That shape is what lets the engine
     /// execute a whole extracted class as **one leapfrog walk** — the
-    /// walk that evaluates [`crate::relation::join`] queries, driven by
-    /// the class indexed on its first `on` field — when the class
-    /// clears [`crate::engine::EngineConfig::delta_join_threshold`];
-    /// below the threshold, or wherever batching is disabled, the
-    /// per-tuple body runs instead. An `on` with no key pair
-    /// (`JoinOn::new()` alone) is a cross join: it has no column to walk,
-    /// so it always runs the per-tuple body, whatever the class size.
-    /// Both paths are built from the same plan parts, so they emit
-    /// identical tuples.
+    /// walk that evaluates [`join`] queries, driven by the class indexed
+    /// on its first `on` field — when the class clears
+    /// [`crate::engine::EngineConfig::delta_join_threshold`]; below the
+    /// threshold, or wherever batching is disabled, the per-tuple body
+    /// runs instead. A `join()` with no `on` pair is a cross join: it
+    /// has no column to walk, so it always runs the per-tuple body,
+    /// whatever the class size. Both paths are built from the same plan
+    /// parts, so they emit identical tuples.
     ///
-    /// Strict validation flags the missing causality model; use
-    /// [`ProgramBuilder::rule_rel_join_with_model`] to attach one.
+    /// [`join`]: crate::relation::join
     pub fn rule_rel_join<R: Relation, S: Relation>(
         &mut self,
         name: &str,
-        on: JoinOn<R, S>,
-        filter: impl Fn(&R, &S) -> bool + Send + Sync + 'static,
+        on: Join<R, S>,
         emit: impl Fn(&RuleCtx<'_>, &R, &S) + Send + Sync + 'static,
-    ) {
-        self.push_join_rule(name, on, filter, emit, None);
-    }
-
-    /// [`ProgramBuilder::rule_rel_join`] with a causality model attached
-    /// for static checking.
-    pub fn rule_rel_join_with_model<R: Relation, S: Relation>(
-        &mut self,
-        name: &str,
-        on: JoinOn<R, S>,
-        model: CausalityModel,
-        filter: impl Fn(&R, &S) -> bool + Send + Sync + 'static,
-        emit: impl Fn(&RuleCtx<'_>, &R, &S) + Send + Sync + 'static,
-    ) {
-        self.push_join_rule(name, on, filter, emit, Some(model));
-    }
-
-    fn push_join_rule<R: Relation, S: Relation>(
-        &mut self,
-        name: &str,
-        on: JoinOn<R, S>,
-        filter: impl Fn(&R, &S) -> bool + Send + Sync + 'static,
-        emit: impl Fn(&RuleCtx<'_>, &R, &S) + Send + Sync + 'static,
-        model: Option<CausalityModel>,
-    ) {
+    ) -> NewRule<'_> {
         let trigger = self.relation::<R>().id();
-        let probe_table = self.relation::<S>().id();
-        let plan = Arc::new(JoinPlan {
-            stages: vec![JoinStage {
-                probe_table,
-                keys: on
-                    .into_pairs()
-                    .into_iter()
-                    .map(|(tf, pf)| ((0, tf), pf))
-                    .collect(),
-            }],
-            filter: Arc::new(move |rows: &[&Tuple]| {
-                filter(&R::from_tuple(rows[0]), &S::from_tuple(rows[1]))
-            }),
-            emit: Arc::new(move |ctx: &RuleCtx<'_>, rows: &[&Tuple]| {
-                emit(ctx, &R::from_tuple(rows[0]), &S::from_tuple(rows[1]))
-            }),
-        });
-        self.rules.push(Rule {
-            name: name.to_string(),
-            trigger,
-            body: join_fallback_body(Arc::clone(&plan)),
-            model,
-            plan: Some(plan),
-        });
+        let stages = on.stages(self.relation::<S>().id());
+        let emit = move |ctx: &RuleCtx<'_>, rows: &[&Tuple]| {
+            emit(ctx, &R::from_tuple(rows[0]), &S::from_tuple(rows[1]))
+        };
+        self.push_join_rule(name, trigger, stages, Arc::new(emit))
     }
 
-    /// Adds a typed **two-stage join rule** — a rule whose body joins
-    /// the trigger `R` against *two* probed relations in fixed order:
-    /// stage 1 probes `S1` where every `on1` pair matches the trigger,
-    /// stage 2 probes `S2` where every `on2` pair matches the trigger
-    /// ([`JoinOn2::eq_t`]) and/or the stage-1 row ([`JoinOn2::eq_p`]).
-    /// Full `(R, S1, S2)` combinations passing `filter` are handed to
-    /// `emit`.
+    /// Adds a typed **two-stage join rule**: the trigger `R` is joined
+    /// against *two* probed relations in fixed order by a [`join3`] key
+    /// set — stage 1 probes `S1` on the `on_ab` pairs, stage 2 probes
+    /// `S2` on the `on_bc` pairs (sourced from the stage-1 row) and the
+    /// `on_ac` pairs (sourced from the trigger). Full `(R, S1, S2)`
+    /// combinations are handed to `emit`.
     ///
     /// The registered [`crate::rule::JoinPlan`] carries both stages, so
     /// delta-join execution lowers the whole class onto the leapfrog
-    /// walk that evaluates [`crate::relation::join3`] queries instead
-    /// of nested per-tuple probes: with both an `eq_p` and an `eq_t`
-    /// pair, `S2` seeks on the first `eq_p` pair and the first `eq_t`
-    /// pair is intersected. Strict validation flags the missing
-    /// causality model.
+    /// walk that evaluates [`join3`] queries instead of nested
+    /// per-tuple probes: with both an `on_bc` and an `on_ac` pair, `S2`
+    /// seeks on the first `on_bc` pair and the first `on_ac` pair is
+    /// intersected.
+    ///
+    /// [`join3`]: crate::relation::join3
     pub fn rule_rel_join2<R: Relation, S1: Relation, S2: Relation>(
         &mut self,
         name: &str,
-        on1: JoinOn<R, S1>,
-        on2: JoinOn2<R, S1, S2>,
-        filter: impl Fn(&R, &S1, &S2) -> bool + Send + Sync + 'static,
+        on: Join3<R, S1, S2>,
         emit: impl Fn(&RuleCtx<'_>, &R, &S1, &S2) + Send + Sync + 'static,
-    ) {
+    ) -> NewRule<'_> {
         let trigger = self.relation::<R>().id();
-        let table1 = self.relation::<S1>().id();
-        let table2 = self.relation::<S2>().id();
-        let plan = Arc::new(JoinPlan {
-            stages: vec![
-                JoinStage {
-                    probe_table: table1,
-                    keys: on1
-                        .into_pairs()
-                        .into_iter()
-                        .map(|(tf, pf)| ((0, tf), pf))
-                        .collect(),
-                },
-                JoinStage {
-                    probe_table: table2,
-                    keys: on2.into_pairs(),
-                },
-            ],
-            filter: Arc::new(move |rows: &[&Tuple]| {
-                filter(
-                    &R::from_tuple(rows[0]),
-                    &S1::from_tuple(rows[1]),
-                    &S2::from_tuple(rows[2]),
-                )
-            }),
-            emit: Arc::new(move |ctx: &RuleCtx<'_>, rows: &[&Tuple]| {
-                emit(
-                    ctx,
-                    &R::from_tuple(rows[0]),
-                    &S1::from_tuple(rows[1]),
-                    &S2::from_tuple(rows[2]),
-                )
-            }),
-        });
+        let stages = on.stages(self.relation::<S1>().id(), self.relation::<S2>().id());
+        let emit = move |ctx: &RuleCtx<'_>, rows: &[&Tuple]| {
+            emit(
+                ctx,
+                &R::from_tuple(rows[0]),
+                &S1::from_tuple(rows[1]),
+                &S2::from_tuple(rows[2]),
+            )
+        };
+        self.push_join_rule(name, trigger, stages, Arc::new(emit))
+    }
+
+    fn push_join_rule(
+        &mut self,
+        name: &str,
+        trigger: TableId,
+        stages: Vec<JoinStage>,
+        emit: JoinEmit,
+    ) -> NewRule<'_> {
+        let plan = Arc::new(JoinPlan { stages, emit });
+        let body = join_fallback_body(Arc::clone(&plan));
+        self.push_rule(name, trigger, body, Some(plan))
+    }
+
+    fn push_rule(
+        &mut self,
+        name: &str,
+        trigger: TableId,
+        body: RuleBody,
+        plan: Option<Arc<JoinPlan>>,
+    ) -> NewRule<'_> {
         self.rules.push(Rule {
             name: name.to_string(),
             trigger,
-            body: join_fallback_body(Arc::clone(&plan)),
+            body,
             model: None,
-            plan: Some(plan),
+            plan,
         });
+        NewRule(self.rules.last_mut().expect("a rule was just pushed"))
     }
 
     /// Adds an initial `put` command.
@@ -441,6 +346,18 @@ impl ProgramBuilder {
     }
 }
 
+/// A rule just registered with a [`ProgramBuilder`], returned by every
+/// registration method so a causality model reaches any rule kind the
+/// same way: `p.rule_rel("move", body).model(m)`.
+pub struct NewRule<'p>(&'p mut Rule);
+
+impl NewRule<'_> {
+    /// Attaches the rule's causality model for static checking (§4).
+    pub fn model(self, model: CausalityModel) {
+        self.0.model = Some(model);
+    }
+}
+
 /// Synthesizes the per-tuple nested-loop body from a join plan: a
 /// recursive descent over the stages, one indexed Gamma query per
 /// stage per partial row. Both execution modes (this fallback and the
@@ -457,9 +374,7 @@ fn join_descend(ctx: &RuleCtx<'_>, plan: &JoinPlan, rows: &mut Vec<Tuple>) {
     let depth = rows.len() - 1;
     if depth == plan.stages.len() {
         let refs: Vec<&Tuple> = rows.iter().collect();
-        if (plan.filter)(&refs) {
-            (plan.emit)(ctx, &refs);
-        }
+        (plan.emit)(ctx, &refs);
         return;
     }
     let stage = &plan.stages[depth];
@@ -655,6 +570,7 @@ mod tests {
     use super::*;
     use crate::causality::{ModelCtx, PutModel, QueryModel};
     use crate::orderby::{seq, strat};
+    use crate::relation::{join, join3};
     use crate::value::Value;
 
     #[test]
@@ -753,11 +669,12 @@ mod tests {
             }],
             queries: vec![],
         };
-        p.rule_with_model("tick", a, model, move |ctx, t| {
+        p.rule("tick", a, move |ctx, t| {
             if t.int(0) < 3 {
                 ctx.put(Tuple::new(a, vec![Value::Int(t.int(0) + 1)]));
             }
-        });
+        })
+        .model(model);
         let prog = p.build().unwrap();
         assert!(prog.validate_strict().is_ok());
     }
@@ -793,7 +710,7 @@ mod tests {
                     label: "aggregate".into(),
                 }],
             };
-            p.rule_with_model("summarise", sm_id, model, |_, _| {});
+            p.rule("summarise", sm_id, |_, _| {}).model(model);
             p.build().unwrap()
         };
         assert!(build(false).validate_strict().is_err());
@@ -818,7 +735,7 @@ mod tests {
             }],
             queries: vec![],
         };
-        p.rule_with_model("a-to-b", a, model, |_, _| {});
+        p.rule("a-to-b", a, |_, _| {}).model(model);
         let prog = p.build().unwrap();
         let g = prog.dependency_graph();
         assert_eq!(g.tables, vec!["A", "B"]);
@@ -841,8 +758,7 @@ mod tests {
         p.rule_rel("opaque", |_, _: Lhs| {});
         p.rule_rel_join(
             "joined",
-            crate::relation::JoinOn::new().eq(Lhs::k, Rhs::k),
-            |l: &Lhs, r: &Rhs| l.v < r.w,
+            join::<Lhs, Rhs>().on(Lhs::k, Rhs::k),
             |_, _: &Lhs, _: &Rhs| {},
         );
         let prog = p.build().unwrap();
@@ -857,8 +773,8 @@ mod tests {
         assert_eq!(plan.stages.len(), 1);
         assert_eq!(plan.stages[0].probe_table, prog.table_id("Rhs").unwrap());
         assert_eq!(plan.stages[0].keys, vec![((0, 0), 0)]);
-        // The non-key columns only feed the filter; their tokens still
-        // carry the right indices for anyone extending the join.
+        // The non-key columns are left to the emit step; their tokens
+        // still carry the right indices for anyone extending the join.
         assert_eq!((Lhs::v.index(), Rhs::w.index()), (1, 1));
     }
 
@@ -879,11 +795,10 @@ mod tests {
         let mut p = ProgramBuilder::new();
         p.rule_rel_join2(
             "two-stage",
-            crate::relation::JoinOn::new().eq(T0::b, T1::c),
-            crate::relation::JoinOn2::new()
-                .eq_p(T1::d, T2::e)
-                .eq_t(T0::a, T2::f),
-            |_: &T0, _: &T1, _: &T2| true,
+            join3::<T0, T1, T2>()
+                .on_ab(T0::b, T1::c)
+                .on_bc(T1::d, T2::e)
+                .on_ac(T0::a, T2::f),
             |_, _: &T0, _: &T1, _: &T2| {},
         );
         let prog = p.build().unwrap();
@@ -892,7 +807,51 @@ mod tests {
         assert_eq!(plan.stages[0].probe_table, prog.table_id("T1").unwrap());
         assert_eq!(plan.stages[0].keys, vec![((0, 1), 0)]);
         assert_eq!(plan.stages[1].probe_table, prog.table_id("T2").unwrap());
-        // eq_p sources row 1 (the stage-1 tuple), eq_t row 0 (trigger).
+        // on_bc sources row 1 (the stage-1 tuple), on_ac row 0 (trigger).
         assert_eq!(plan.stages[1].keys, vec![((1, 1), 0), ((0, 0), 1)]);
+    }
+
+    #[test]
+    fn two_stage_join_rules_carry_causality_models() {
+        crate::jstar_table! {
+            /// table T1(int a) orderby (T1)
+            T1(int a) orderby (T1)
+        }
+        crate::jstar_table! {
+            /// table T2(int a) orderby (T2)
+            T2(int a) orderby (T2)
+        }
+        let into = |out: &str| {
+            let mut p = ProgramBuilder::new();
+            p.order(&["T0", "T1", "T2"]);
+            let model = CausalityModel {
+                ctx: ModelCtx::new(),
+                invariants: vec![],
+                puts: vec![PutModel {
+                    out_table: out.into(),
+                    guard: vec![],
+                    bindings: vec![],
+                    label: "chain".into(),
+                }],
+                queries: vec![],
+            };
+            p.rule_rel_join2(
+                "chain",
+                join3::<T1, T2, T2>()
+                    .on_ab(T1::a, T2::a)
+                    .on_bc(T2::a, T2::a),
+                |_, _: &T1, _: &T2, _: &T2| {},
+            )
+            .model(model);
+            p.table("T0", |b| b.col_int("a").orderby(&[strat("T0")]));
+            p.build().unwrap().check_causality()
+        };
+        let back = into("T0");
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].rule, "chain");
+        assert!(!back[0].proved, "a put into an earlier stratum: {back:?}");
+        let forward = into("T2");
+        assert_eq!(forward.len(), 1);
+        assert!(forward[0].proved, "a forward put: {forward:?}");
     }
 }

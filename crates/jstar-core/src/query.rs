@@ -19,8 +19,9 @@
 //!   ordered view of Gamma as the driver; rows arrive in ascending key
 //!   order, with or without a pool;
 //! * **rule-side**: [`crate::program::ProgramBuilder::rule_rel_join`]
-//!   and `rule_rel_join2`, whose plans drive the same walk from a wide
-//!   class's fresh tuples (see
+//!   and `rule_rel_join2` take the same `join()` / `join3()` key sets,
+//!   with the trigger as `A`, and their plans drive the same walk from
+//!   a wide class's fresh tuples (see
 //!   [`crate::engine::EngineConfig::delta_join_threshold`]); a plan
 //!   with a keyless stage is a cross join and fires per tuple.
 //!

@@ -34,6 +34,7 @@
 //! and generic tooling still need it.
 
 use crate::query::{FieldRange, Predicate, Query};
+use crate::rule::JoinStage;
 use crate::schema::TableId;
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
@@ -789,102 +790,13 @@ pub struct ConstraintShape {
     pub bound: bool,
 }
 
-/// Typed equi-join key set between a trigger relation `R` and a probed
-/// relation `S` — the declarative input of
-/// [`crate::program::ProgramBuilder::rule_rel_join`].
-///
-/// Each [`JoinOn::eq`] pairs a trigger column with a probe column of
-/// the *same* Rust type, so mismatched join keys (wrong relation, wrong
-/// column type) are compile errors, exactly like [`TypedQuery`]
-/// constraints. The first pair's trigger field is what the engine
-/// indexes a delta class on when it runs the rule as a batched join.
-pub struct JoinOn<R, S> {
-    pairs: Vec<(usize, usize)>,
-    _marker: PhantomData<fn(R, S)>,
-}
-
-impl<R, S> Default for JoinOn<R, S> {
-    fn default() -> Self {
-        JoinOn::new()
-    }
-}
-
-impl<R, S> JoinOn<R, S> {
-    /// Starts an empty key set.
-    pub fn new() -> Self {
-        JoinOn {
-            pairs: Vec::new(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Adds the equi-join pair `trigger.field == probe.field`.
-    pub fn eq<T: FieldValue>(mut self, trigger: Field<R, T>, probe: Field<S, T>) -> Self {
-        self.pairs.push((trigger.index(), probe.index()));
-        self
-    }
-
-    /// The collected `(trigger_field, probe_field)` pairs.
-    pub fn pairs(&self) -> &[(usize, usize)] {
-        &self.pairs
-    }
-
-    pub(crate) fn into_pairs(self) -> Vec<(usize, usize)> {
-        self.pairs
-    }
-}
-
-/// Typed equi-join key set for the *second* probe stage of
-/// [`crate::program::ProgramBuilder::rule_rel_join2`]: relation `S2`'s
-/// candidates may be keyed against the trigger `R` ([`JoinOn2::eq_t`])
-/// and/or the first probed relation `S1` ([`JoinOn2::eq_p`]).
-///
-/// Internally each pair records its source row — row 0 is the trigger,
-/// row 1 the stage-1 tuple — matching [`crate::rule::JoinStage::keys`].
-pub struct JoinOn2<R, S1, S2> {
-    pairs: Vec<((usize, usize), usize)>,
-    _marker: PhantomData<fn(R, S1, S2)>,
-}
-
-impl<R, S1, S2> Default for JoinOn2<R, S1, S2> {
-    fn default() -> Self {
-        JoinOn2::new()
-    }
-}
-
-impl<R, S1, S2> JoinOn2<R, S1, S2> {
-    /// Starts an empty key set.
-    pub fn new() -> Self {
-        JoinOn2 {
-            pairs: Vec::new(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Adds the equi-join pair `trigger.field == probe.field`.
-    pub fn eq_t<T: FieldValue>(mut self, trigger: Field<R, T>, probe: Field<S2, T>) -> Self {
-        self.pairs.push(((0, trigger.index()), probe.index()));
-        self
-    }
-
-    /// Adds the equi-join pair `stage1.field == probe.field`.
-    pub fn eq_p<T: FieldValue>(mut self, prev: Field<S1, T>, probe: Field<S2, T>) -> Self {
-        self.pairs.push(((1, prev.index()), probe.index()));
-        self
-    }
-
-    /// The collected `((row, field), probe_field)` triples.
-    pub fn pairs(&self) -> &[((usize, usize), usize)] {
-        &self.pairs
-    }
-
-    pub(crate) fn into_pairs(self) -> Vec<((usize, usize), usize)> {
-        self.pairs
-    }
-}
-
-/// Starts a typed two-relation join over Gamma — the query-layer
-/// worst-case-optimal join builder: `join::<Edge, Edge>()`.
+/// Starts a typed two-relation equi-join: `join::<Edge, Edge>()`. It
+/// is both the read-side query evaluated by
+/// [`crate::engine::Engine::join_rel`] and the key set of a rule
+/// registered with [`crate::program::ProgramBuilder::rule_rel_join`],
+/// where `A` is the trigger relation and `B` the probed one. Each pair
+/// names two columns of the same Rust type, so a mismatched key is a
+/// compile error, as with [`TypedQuery`] constraints.
 ///
 /// The variable order is **fixed by declaration order** (`A` then `B`;
 /// no cost-based optimizer): `A`'s sorted column view drives the
@@ -895,7 +807,6 @@ impl<R, S1, S2> JoinOn2<R, S1, S2> {
 /// workers; matched rows are buffered per range (memory in proportion
 /// to the result) and delivered on the calling thread in ascending key
 /// order, the same order a sequential engine produces.
-/// Evaluate with [`crate::engine::Engine::join_rel`].
 pub fn join<A: Relation, B: Relation>() -> Join<A, B> {
     Join {
         on: Vec::new(),
@@ -916,21 +827,31 @@ impl<A: Relation, B: Relation> Join<A, B> {
         self.on.push((a.index(), b.index()));
         self
     }
+
+    /// Lowers the pairs to the walk's one stage, probing `b_table`.
+    pub(crate) fn stages(&self, b_table: TableId) -> Vec<JoinStage> {
+        vec![JoinStage {
+            probe_table: b_table,
+            keys: self.on.iter().map(|&(a, b)| ((0, a), b)).collect(),
+        }]
+    }
 }
 
-/// Starts a typed three-relation join over Gamma:
-/// `join3::<Edge, Edge, Edge>()`. Variable order is fixed as `A`, `B`,
-/// then `C` (declaration order; no optimizer), on the same walk as
-/// [`join`]: `A` drives, and `B` leapfrogs it on the first
-/// [`Join3::on_ab`] pair. `C` seeks on its first [`Join3::on_bc`] pair
-/// once per `b` row; the first [`Join3::on_ac`] pair is then
-/// intersected — each `c` binary-searches the key's `A` group, sorted
-/// once per key — rather than checked per `(a, b)` pair. Without an
-/// `on_bc` pair, `C` seeks on the first `on_ac` pair once per `a` row.
-/// Every other pair is a residual check. Rows arrive in ascending
-/// `A`/`B`-key order with or without a pool, three tuple handles
-/// buffered per row on a pooled engine.
-/// Evaluate with [`crate::engine::Engine::join3_rel`].
+/// Starts a typed three-relation equi-join:
+/// `join3::<Edge, Edge, Edge>()`. Like [`join`], it is both the
+/// read-side query evaluated by [`crate::engine::Engine::join3_rel`]
+/// and the key set of a two-stage rule registered with
+/// [`crate::program::ProgramBuilder::rule_rel_join2`], where `A` is the
+/// trigger. Variable order is fixed as `A`, `B`, then `C` (declaration
+/// order; no optimizer), on the same walk as [`join`]: `A` drives, and
+/// `B` leapfrogs it on the first [`Join3::on_ab`] pair. `C` seeks on
+/// its first [`Join3::on_bc`] pair once per `b` row; the first
+/// [`Join3::on_ac`] pair is then intersected — each `c` binary-searches
+/// the key's `A` group, sorted once per key — rather than checked per
+/// `(a, b)` pair. Without an `on_bc` pair, `C` seeks on the first
+/// `on_ac` pair once per `a` row. Every other pair is a residual check.
+/// Rows arrive in ascending `A`/`B`-key order with or without a pool,
+/// three tuple handles buffered per row on a pooled engine.
 pub fn join3<A: Relation, B: Relation, C: Relation>() -> Join3<A, B, C> {
     Join3 {
         ab: Vec::new(),
@@ -969,6 +890,24 @@ impl<A: Relation, B: Relation, C: Relation> Join3<A, B, C> {
     pub fn on_ac<T: FieldValue>(mut self, a: Field<A, T>, c: Field<C, T>) -> Self {
         self.ac.push((a.index(), c.index()));
         self
+    }
+
+    /// Lowers the pairs to the walk's two stages: `b_table` keyed by
+    /// the `on_ab` pairs, then `c_table` keyed by the `on_bc` pairs
+    /// followed by the `on_ac` pairs, each in declaration order.
+    pub(crate) fn stages(&self, b_table: TableId, c_table: TableId) -> Vec<JoinStage> {
+        let bc = self.bc.iter().map(|&(b, c)| ((1, b), c));
+        let ac = self.ac.iter().map(|&(a, c)| ((0, a), c));
+        vec![
+            JoinStage {
+                probe_table: b_table,
+                keys: self.ab.iter().map(|&(a, b)| ((0, a), b)).collect(),
+            },
+            JoinStage {
+                probe_table: c_table,
+                keys: bc.chain(ac).collect(),
+            },
+        ]
     }
 }
 
@@ -1286,11 +1225,28 @@ mod tests {
     }
 
     #[test]
-    fn join_on_collects_typed_pairs() {
-        let on: JoinOn<Ship, Ship> = JoinOn::new()
-            .eq(Ship::frame, Ship::x)
-            .eq(Ship::x, Ship::frame);
-        assert_eq!(on.pairs(), &[(0, 1), (1, 0)]);
+    fn join_stages_key_pairs_by_source_row() {
+        let (b, c) = (TableId(1), TableId(2));
+        let two = join::<Ship, Ship>()
+            .on(Ship::frame, Ship::x)
+            .on(Ship::x, Ship::frame)
+            .stages(b);
+        assert_eq!(two.len(), 1);
+        assert_eq!(two[0].probe_table, b);
+        assert_eq!(two[0].keys, vec![((0, 0), 1), ((0, 1), 0)]);
+
+        // on_ac is declared first but lowers after every on_bc pair.
+        let three = join3::<Ship, Ship, Ship>()
+            .on_ab(Ship::x, Ship::frame)
+            .on_ac(Ship::frame, Ship::x)
+            .on_bc(Ship::x, Ship::frame)
+            .on_bc(Ship::frame, Ship::x)
+            .stages(b, c);
+        assert_eq!(three.len(), 2);
+        assert_eq!(three[0].probe_table, b);
+        assert_eq!(three[0].keys, vec![((0, 1), 0)]);
+        assert_eq!(three[1].probe_table, c);
+        assert_eq!(three[1].keys, vec![((1, 1), 0), ((1, 0), 1), ((0, 0), 1)]);
     }
 
     #[test]

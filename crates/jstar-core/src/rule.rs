@@ -18,18 +18,17 @@ use std::sync::Arc;
 /// engine, hence `Send + Sync`.
 pub type RuleBody = Arc<dyn Fn(&RuleCtx<'_>, &Tuple) + Send + Sync>;
 
-/// Residual predicate of a [`JoinPlan`]: keeps a row combination. The
-/// slice is `[trigger, stage1_probed, stage2_probed, ...]` in stage
-/// order — one tuple per relation of the join.
-pub type JoinFilter = Arc<dyn Fn(&[&Tuple]) -> bool + Send + Sync>;
-
-/// Emission step of a [`JoinPlan`]: called once per surviving row
-/// combination (same slice layout as [`JoinFilter`]); `put`s result
-/// tuples through the context.
+/// Emission step of a [`JoinPlan`]: called once per matched row
+/// combination `[trigger, stage1_probed, stage2_probed, ...]` (one
+/// tuple per relation of the join, in stage order). Any residual
+/// condition is tested here, before `put`ting result tuples through
+/// the context.
 pub type JoinEmit = Arc<dyn Fn(&RuleCtx<'_>, &[&Tuple]) + Send + Sync>;
 
-/// One probe stage of a [`JoinPlan`]: a table to probe and the
-/// equi-join keys binding it to rows already matched.
+/// One probe stage of a [`JoinPlan`] or of a read-side join: a table
+/// to probe and the equi-join keys binding it to rows already matched.
+/// Stages are lowered from a typed [`crate::relation::join`] or
+/// [`crate::relation::join3`] key set, for rules and queries alike.
 #[derive(Debug, Clone)]
 pub struct JoinStage {
     /// The Gamma table this stage probes.
@@ -44,17 +43,19 @@ pub struct JoinStage {
     pub keys: Vec<((usize, usize), usize)>,
 }
 
-/// An inspectable (join → filter → emit) plan for a rule body.
+/// An inspectable (join → emit) plan for a rule body.
 ///
 /// Rules registered through
-/// [`crate::program::ProgramBuilder::rule_rel_join`] (one probe stage)
-/// or [`crate::program::ProgramBuilder::rule_rel_join2`] (two stages)
-/// expose their constraint structure instead of hiding it inside an
-/// opaque closure: for each trigger tuple, probe the stages in order —
-/// each stage's candidates constrained by equi-join keys against rows
-/// already matched — keep full row combinations passing `filter`, and
-/// run `emit` on each. The variable order is fixed by stage declaration
-/// order (no cost-based optimizer).
+/// [`crate::program::ProgramBuilder::rule_rel_join`] (one probe stage,
+/// keyed by a [`crate::relation::join`]) or
+/// [`crate::program::ProgramBuilder::rule_rel_join2`] (two stages,
+/// keyed by a [`crate::relation::join3`]) expose their constraint
+/// structure instead of hiding it inside an opaque closure: for each
+/// trigger tuple, probe the stages in order — each stage's candidates
+/// constrained by equi-join keys against rows already matched — and
+/// run `emit` on each full row combination. The variable order is
+/// fixed by stage declaration order (no cost-based optimizer). The
+/// stages are the ones the same key set gives a read-side query.
 ///
 /// The engine uses the shape to switch a whole extracted class to
 /// **delta-join execution** when the class clears
@@ -70,9 +71,7 @@ pub struct JoinStage {
 pub struct JoinPlan {
     /// The probe stages, in fixed variable order.
     pub stages: Vec<JoinStage>,
-    /// Residual predicate over full row combinations.
-    pub filter: JoinFilter,
-    /// Emission per surviving row combination.
+    /// Emission per matched row combination.
     pub emit: JoinEmit,
 }
 
@@ -105,7 +104,7 @@ pub struct Rule {
     /// model are reported as unproved by strict validation, mirroring the
     /// compiler warning the paper describes.
     pub model: Option<CausalityModel>,
-    /// Inspectable (join → filter → emit) shape, when the rule was
+    /// Inspectable (join → emit) shape, when the rule was
     /// registered through a join-aware path. `None` marks an opaque
     /// closure body, which the engine always executes per tuple.
     pub plan: Option<Arc<JoinPlan>>,

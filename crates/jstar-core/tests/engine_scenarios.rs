@@ -62,7 +62,7 @@ fn section4_example_rule_runs_and_proves() {
         queries: vec![q1],
     };
 
-    p.rule_with_model("section4", trigger, model, move |ctx, trig| {
+    p.rule("section4", trigger, move |ctx, trig| {
         let t = trig.int(0);
         if trig.bool(1) {
             ctx.put(Tuple::new(
@@ -73,7 +73,8 @@ fn section4_example_rule_runs_and_proves() {
             let minv = ctx.min_int(&Query::on(tuple1).lt(0, t), 1).unwrap_or(-1);
             ctx.put(Tuple::new(tuple2, vec![Value::Int(t), Value::Int(minv)]));
         }
-    });
+    })
+    .model(model);
 
     // Triggers: cond=true at t=0,1; cond=false at t=5 — the min over
     // Tuple1 rows below t=5 must see both earlier puts.

@@ -164,19 +164,19 @@ fn join_program(dims: i64, srcs: i64, key_mod: i64, filt: i64) -> Arc<Program> {
     p.order(&["Dim", "Src", "Mid", "Out"]);
     p.rule_rel_join(
         "stage1",
-        JoinOn::new().eq(Src::k, Dim::k),
-        move |s: &Src, d: &Dim| (s.v + d.w).rem_euclid(filt) != 0,
+        join::<Src, Dim>().on(Src::k, Dim::k),
         move |ctx, s: &Src, d: &Dim| {
-            ctx.put_rel(Mid {
-                k2: (s.v * 3 + d.w).rem_euclid(key_mod),
-                s: s.v + d.w,
-            });
+            if (s.v + d.w).rem_euclid(filt) != 0 {
+                ctx.put_rel(Mid {
+                    k2: (s.v * 3 + d.w).rem_euclid(key_mod),
+                    s: s.v + d.w,
+                });
+            }
         },
     );
     p.rule_rel_join(
         "stage2",
-        JoinOn::new().eq(Mid::k2, Dim::k),
-        |_m: &Mid, _d: &Dim| true,
+        join::<Mid, Dim>().on(Mid::k2, Dim::k),
         |ctx, m: &Mid, d: &Dim| {
             ctx.put_rel(Out { a: m.s, b: d.w });
         },
@@ -204,12 +204,12 @@ fn join_program(dims: i64, srcs: i64, key_mod: i64, filt: i64) -> Arc<Program> {
 /// each form takes a different branch of it.
 #[derive(Debug, Clone, Copy)]
 enum Stage2 {
-    /// `eq_p` only: seek from the stage-1 row.
+    /// `on_bc` only: seek from the stage-1 row.
     Prev,
-    /// `eq_p` + `eq_t`, the triangles shape: seek from the stage-1 row
+    /// `on_bc` + `on_ac`, the triangles shape: seek from the stage-1 row
     /// and intersect the trigger-sourced (closing) pair.
     Closing,
-    /// `eq_t` only: seek from the trigger row.
+    /// `on_ac` only: seek from the trigger row.
     Trigger,
 }
 
@@ -272,24 +272,20 @@ fn join2_program(
             }
         });
     } else {
-        let mut on1 = JoinOn::new().eq(Src::k, Dim::k);
+        let mut on = join3::<Src, Dim, Dim>().on_ab(Src::k, Dim::k);
         if pair1 {
-            on1 = on1.eq(Src::v, Dim::w);
+            on = on.on_ab(Src::v, Dim::w);
         }
-        let on2 = match stage2 {
-            Stage2::Prev => JoinOn2::new().eq_p(Dim::w, Dim::k),
-            Stage2::Closing => JoinOn2::new().eq_p(Dim::w, Dim::k).eq_t(Src::k, Dim::w),
-            Stage2::Trigger => JoinOn2::new().eq_t(Src::k, Dim::w),
+        let on = match stage2 {
+            Stage2::Prev => on.on_bc(Dim::w, Dim::k),
+            Stage2::Closing => on.on_bc(Dim::w, Dim::k).on_ac(Src::k, Dim::w),
+            Stage2::Trigger => on.on_ac(Src::k, Dim::w),
         };
-        p.rule_rel_join2(
-            "chain-join",
-            on1,
-            on2,
-            filter,
-            move |ctx, s: &Src, d1: &Dim, d2: &Dim| {
+        p.rule_rel_join2("chain-join", on, move |ctx, s: &Src, d1: &Dim, d2: &Dim| {
+            if filter(s, d1, d2) {
                 ctx.put_rel(emit(s, d1, d2));
-            },
-        );
+            }
+        });
     }
     // `w` values overlap the key range so stage 2 matches regularly
     // (but not always — missing keys exercise the empty-descent path).
@@ -309,8 +305,8 @@ fn join2_program(
 }
 
 /// A one-stage **cross join**: `Src × Dim` through a
-/// [`ProgramBuilder::rule_rel_join`] whose `on` has no key pair, with a
-/// residual filter. `Src` pops as one wide class, so the class clears
+/// [`ProgramBuilder::rule_rel_join`] whose `join()` has no `on` pair,
+/// with a residual condition in its emit. `Src` pops as one wide class, so the class clears
 /// any small delta-join threshold.
 fn cross_program(dims: i64, srcs: i64, filt: i64) -> Arc<Program> {
     let mut p = ProgramBuilder::new();
@@ -318,14 +314,11 @@ fn cross_program(dims: i64, srcs: i64, filt: i64) -> Arc<Program> {
     p.relation::<Src>();
     p.relation::<Out>();
     p.order(&["Dim", "Src", "Out"]);
-    p.rule_rel_join(
-        "cross",
-        JoinOn::new(),
-        move |s: &Src, d: &Dim| (s.v + d.w).rem_euclid(filt) != 0,
-        |ctx, s: &Src, d: &Dim| {
+    p.rule_rel_join("cross", join::<Src, Dim>(), move |ctx, s: &Src, d: &Dim| {
+        if (s.v + d.w).rem_euclid(filt) != 0 {
             ctx.put_rel(Out { a: s.v, b: d.w });
-        },
-    );
+        }
+    });
     for i in 0..dims {
         p.put_rel(Dim { k: i, w: i * 3 });
     }

@@ -55,14 +55,15 @@ fn main() -> Result<()> {
         }],
         queries: vec![],
     };
-    p.rule_rel_with_model("threshold", model, move |ctx, r: Reading| {
+    p.rule_rel("threshold", move |ctx, r: Reading| {
         if r.value > 90 {
             ctx.put_rel(Alert {
                 sensor: r.sensor,
                 t: r.t + 1,
             });
         }
-    });
+    })
+    .model(model);
 
     // Alert rule: summarise the sensor's history (aggregate over the
     // strictly-earlier Reading stratum).
@@ -79,7 +80,7 @@ fn main() -> Result<()> {
             label: "sensor history".into(),
         }],
     };
-    p.rule_rel_with_model("report", model, move |ctx, a: Alert| {
+    p.rule_rel("report", move |ctx, a: Alert| {
         let stats = ctx.reduce_rel(
             Reading::query().eq(Reading::sensor, a.sensor),
             &Statistics {
@@ -94,7 +95,8 @@ fn main() -> Result<()> {
             stats.mean(),
             stats.max
         ));
-    });
+    })
+    .model(model);
 
     let program = Arc::new(p.build()?);
     program.validate_strict()?;

@@ -34,12 +34,13 @@ fn pvwatts_skeleton(with_order: bool) -> Program {
         }],
         queries: vec![],
     };
-    p.rule_with_model("request-month", pv, model, move |ctx, t| {
+    p.rule("request-month", pv, move |ctx, t| {
         ctx.put(Tuple::new(
             ctx.table("SumMonth"),
             vec![t.get(0).clone(), t.get(1).clone()],
         ));
-    });
+    })
+    .model(model);
     // foreach (SumMonth s) aggregate PvWatts(...)
     let model = CausalityModel {
         ctx: ModelCtx::new(),
@@ -52,7 +53,7 @@ fn pvwatts_skeleton(with_order: bool) -> Program {
             label: "aggregate month".into(),
         }],
     };
-    p.rule_with_model("summarise", sm, model, move |ctx, s| {
+    p.rule("summarise", sm, move |ctx, s| {
         let stats = ctx.reduce(
             &Query::on(ctx.table("PvWatts"))
                 .eq(0, s.int(0))
@@ -60,7 +61,8 @@ fn pvwatts_skeleton(with_order: bool) -> Program {
             &Statistics { field: 2 },
         );
         ctx.println(format!("{}/{}: {}", s.int(0), s.int(1), stats.mean()));
-    });
+    })
+    .model(model);
     p.build().unwrap()
 }
 
@@ -145,7 +147,7 @@ fn solver_handles_guarded_obligations() {
         }],
         queries: vec![],
     };
-    p.rule_with_model("dead", t, model, |_, _| {});
+    p.rule("dead", t, |_, _| {}).model(model);
     let prog = p.build().unwrap();
     assert!(
         prog.validate_strict().is_ok(),
@@ -188,6 +190,14 @@ fn all_shipped_programs_validate_strictly() {
         .validate_strict()
         .unwrap();
     median::build_program(100, 4)
+        .program
+        .validate_strict()
+        .unwrap();
+    triangles::build_program(triangles::TriSpec::new(20, 40, 2, 1))
+        .program
+        .validate_strict()
+        .unwrap();
+    basket::build_program(basket::BasketSpec::new(20, 10, 4, 2, 1))
         .program
         .validate_strict()
         .unwrap();

@@ -105,11 +105,11 @@ proptest! {
             queries: vec![],
         };
         let limit = start + 20;
-        p.rule_with_model("advance", t, model, move |ctx, tr| {
+        p.rule("advance", t, move |ctx, tr| {
             if tr.int(0) < limit && tr.int(0) > start - 20 {
                 ctx.put(Tuple::new(t, vec![Value::Int(tr.int(0) + c)]));
             }
-        });
+        }).model(model);
         p.put(Tuple::new(t, vec![Value::Int(start)]));
         let prog = Arc::new(p.build().unwrap());
 
